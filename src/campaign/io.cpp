@@ -46,26 +46,8 @@ bool faultFires(IoOp op) {
   return true;
 }
 
-}  // namespace
-
-void setIoFailure(IoOp op, int afterCalls, int errnoValue) {
-  FaultSlot& slot = faultSlot();
-  slot.armed.store(false, std::memory_order_release);
-  slot.op = op;
-  slot.errnoValue = errnoValue;
-  slot.remaining.store(afterCalls, std::memory_order_release);
-  slot.fired.store(0, std::memory_order_release);
-  slot.armed.store(true, std::memory_order_release);
-}
-
-void clearIoFailure() {
-  faultSlot().armed.store(false, std::memory_order_release);
-}
-
-int ioFailuresFired() {
-  return faultSlot().fired.load(std::memory_order_acquire);
-}
-
+/// Writes all of `bytes` at the current offset, retrying short writes
+/// and EINTR. Throws Error("<what> write failed: <path>: <errno text>").
 void writeAll(int fd, std::span<const std::uint8_t> bytes,
               const std::string& path, const char* what) {
   if (faultFires(IoOp::PartialWrite)) {
@@ -115,6 +97,8 @@ void fsyncOrThrow(int fd, const std::string& path, const char* what) {
   }
 }
 
+/// Best-effort fsync of `path`'s parent directory — required for a
+/// rename into that directory to be durable on POSIX filesystems.
 void syncParentDir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string dir =
@@ -124,6 +108,26 @@ void syncParentDir(const std::string& path) {
     (void)::fsync(fd);
     ::close(fd);
   }
+}
+
+}  // namespace
+
+void setIoFailure(IoOp op, int afterCalls, int errnoValue) {
+  FaultSlot& slot = faultSlot();
+  slot.armed.store(false, std::memory_order_release);
+  slot.op = op;
+  slot.errnoValue = errnoValue;
+  slot.remaining.store(afterCalls, std::memory_order_release);
+  slot.fired.store(0, std::memory_order_release);
+  slot.armed.store(true, std::memory_order_release);
+}
+
+void clearIoFailure() {
+  faultSlot().armed.store(false, std::memory_order_release);
+}
+
+int ioFailuresFired() {
+  return faultSlot().fired.load(std::memory_order_acquire);
 }
 
 void atomicWrite(const std::string& path, std::span<const std::uint8_t> content,

@@ -1,11 +1,8 @@
 #pragma once
 /// \file io.hpp
-/// \brief Durable file I/O shared by the campaign journal, the results
-/// store and the serve daemon's state directory.
-///
-/// Before this file, journal.cpp and store.cpp each carried their own
-/// copies of write-fully / fsync-or-throw / atomic-replace. Centralizing
-/// them buys two robustness properties both writers need:
+/// \brief Durable file I/O shared by the framed logs (campaign journal,
+/// results store, supervisor journal) and the serve daemon's state
+/// directory. It gives every writer two robustness properties:
 ///
 ///  - **Append rollback.** `appendDurable` remembers the file's end
 ///    offset before writing and, when the write or fsync fails midway
@@ -28,18 +25,6 @@
 #include <string>
 
 namespace nodebench::campaign::io {
-
-/// Writes all of `bytes` at the current offset, retrying short writes
-/// and EINTR. Throws Error("<what> write failed: <path>: <errno text>").
-void writeAll(int fd, std::span<const std::uint8_t> bytes,
-              const std::string& path, const char* what);
-
-/// fsync or Error("<what> fsync failed: ...").
-void fsyncOrThrow(int fd, const std::string& path, const char* what);
-
-/// Best-effort fsync of `path`'s parent directory — required for a
-/// rename into that directory to be durable on POSIX filesystems.
-void syncParentDir(const std::string& path);
 
 /// Atomically replaces `path` with `content` (write temp, fsync, rename,
 /// sync parent dir). The temp file is unlinked on failure.

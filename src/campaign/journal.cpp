@@ -1,83 +1,35 @@
 #include "campaign/journal.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "campaign/io.hpp"
 #include "campaign/shard.hpp"
-#include "core/checksum.hpp"
-#include "core/utf8.hpp"
 #include "trace/trace.hpp"
 
 namespace nodebench::campaign {
 
 namespace {
 
-constexpr char kMagic[4] = {'N', 'B', 'C', 'J'};
-constexpr std::uint32_t kSchemaVersion = 1;
-constexpr const char* kWhat = "journal";  ///< io:: error-text label.
-
 /// Defensive decode limits: a record longer than any legitimate cell
-/// payload, a string longer than any machine/cell/error text, or a
-/// journal larger than any real campaign is treated as corruption, not
-/// an allocation request.
-constexpr std::uint32_t kMaxRecordBytes = 1u << 20;
+/// payload (1 MiB), a string longer than any machine/cell/error text, or
+/// a journal larger than any real campaign (256 MiB) is treated as
+/// corruption, not an allocation request.
+constexpr FramedFormat kFormat{
+    .magic = {'N', 'B', 'C', 'J'},
+    .version = 1,
+    .maxFrameBytes = 1u << 20,
+    .maxFileBytes = 256ull << 20,
+    .tail = TailPolicy::Truncate,
+    .raise = &raiseAs<JournalCorruptError>,
+    .title = "campaign journal",
+    .noun = "journal",
+    .fileNoun = "journal file",
+    .unit = "record",
+};
 constexpr std::uint32_t kMaxStringBytes = 1u << 16;
-constexpr std::uintmax_t kMaxJournalBytes = 256ull << 20;
-
-std::string errnoText() { return std::strerror(errno); }
-
-std::string utf8Checked(std::string value, const char* what) {
-  if (!validUtf8(value)) {
-    throw JournalCorruptError(std::string("journal record carries invalid "
-                                          "UTF-8 in its ") +
-                              what + " field");
-  }
-  return value;
-}
-
-std::string recordKey(std::string_view machine, std::string_view cell) {
-  std::string key;
-  key.reserve(machine.size() + 1 + cell.size());
-  key.append(machine);
-  key.push_back('\x1f');  // unit separator: cannot appear in valid UTF-8 names
-  key.append(cell);
-  return key;
-}
-
-/// One length-prefixed CRC-framed chunk: [u32 len][u32 crc][payload].
-std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xffu));
-  }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xffu));
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-std::uint32_t readU32At(std::span<const std::uint8_t> bytes, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
 
 std::string hex(std::uint64_t v) {
   char buf[32];
@@ -87,6 +39,15 @@ std::string hex(std::uint64_t v) {
 }
 
 }  // namespace
+
+std::string cellKey(std::string_view machine, std::string_view cell) {
+  std::string key;
+  key.reserve(machine.size() + 1 + cell.size());
+  key.append(machine);
+  key.push_back('\x1f');
+  key.append(cell);
+  return key;
+}
 
 // --- PayloadWriter / PayloadReader ------------------------------------------
 
@@ -125,7 +86,10 @@ void PayloadReader::need(std::size_t n) const {
 
 std::uint32_t PayloadReader::u32() {
   need(4);
-  const std::uint32_t v = readU32At(bytes_, pos_);
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
+  }
   pos_ += 4;
   return v;
 }
@@ -185,69 +149,51 @@ Summary readSummary(PayloadReader& r) {
 // --- CampaignConfig ----------------------------------------------------------
 
 std::string describeConfigMismatch(const CampaignConfig& recorded,
-                                   const CampaignConfig& current) {
-  const auto diff = [](const std::string& param, const std::string& was,
-                       const std::string& now) {
-    return "journal configuration mismatch: " + param +
-           " was " + was + " when the journal was recorded but is " + now +
-           " in this run; rerun with the original parameters or start a "
-           "fresh journal";
+                                   const CampaignConfig& current,
+                                   std::string_view noun,
+                                   std::string_view advice) {
+  const auto diff = [&](const std::string& param, const std::string& was,
+                        const std::string& now) {
+    std::string n(noun);
+    return n + " configuration mismatch: " + param + " was " + was +
+           " when the " + n + " was recorded but is " + now +
+           " in this run; " + std::string(advice);
   };
-  if (recorded.registryHash != current.registryHash) {
-    return diff("the machine registry", hex(recorded.registryHash),
-                hex(current.registryHash));
-  }
-  if (recorded.faultPlanHash != current.faultPlanHash) {
-    return diff("the fault plan (--faults)", hex(recorded.faultPlanHash),
-                hex(current.faultPlanHash));
-  }
-  if (recorded.seed != current.seed) {
-    return diff("the fault-plan seed", std::to_string(recorded.seed),
-                std::to_string(current.seed));
-  }
-  if (recorded.runs != current.runs) {
-    return diff("--runs", std::to_string(recorded.runs),
-                std::to_string(current.runs));
-  }
-  if (recorded.cellRetries != current.cellRetries) {
-    return diff("the cell retry budget", std::to_string(recorded.cellRetries),
-                std::to_string(current.cellRetries));
-  }
-  if (recorded.cpuArrayBytes != current.cpuArrayBytes) {
-    return diff("the CPU array size (bytes)",
-                std::to_string(recorded.cpuArrayBytes),
-                std::to_string(current.cpuArrayBytes));
-  }
-  if (recorded.gpuArrayBytes != current.gpuArrayBytes) {
-    return diff("the GPU array size (bytes)",
-                std::to_string(recorded.gpuArrayBytes),
-                std::to_string(current.gpuArrayBytes));
-  }
-  if (recorded.mpiMessageSize != current.mpiMessageSize) {
-    return diff("the MPI message size (bytes)",
-                std::to_string(recorded.mpiMessageSize),
-                std::to_string(current.mpiMessageSize));
-  }
-  const auto shardText = [](const CampaignConfig& c) {
-    if (c.shardCount == 0) {
-      return std::string("unsharded");
+  // Compared in this order; the two hashes print as hex.
+  static constexpr const char* kParams[] = {
+      "the machine registry",       "the fault plan (--faults)",
+      "the fault-plan seed",        "--runs",
+      "the cell retry budget",      "the CPU array size (bytes)",
+      "the GPU array size (bytes)", "the MPI message size (bytes)"};
+  const auto fields = [](const CampaignConfig& c) {
+    return std::array<std::uint64_t, 8>{
+        c.registryHash,  c.faultPlanHash, c.seed,          c.runs,
+        c.cellRetries,   c.cpuArrayBytes, c.gpuArrayBytes, c.mpiMessageSize};
+  };
+  const auto was = fields(recorded);
+  const auto now = fields(current);
+  for (std::size_t i = 0; i < was.size(); ++i) {
+    if (was[i] != now[i]) {
+      const auto text = [i](std::uint64_t v) {
+        return i < 2 ? hex(v) : std::to_string(v);
+      };
+      return diff(kParams[i], text(was[i]), text(now[i]));
     }
-    return std::to_string(c.shardIndex) + "/" + std::to_string(c.shardCount);
-  };
+  }
   if (recorded.shardIndex != current.shardIndex ||
       recorded.shardCount != current.shardCount) {
-    return diff("the shard spec (--shard)", shardText(recorded),
-                shardText(current));
+    return diff("the shard spec (--shard)",
+                shardSpecText({recorded.shardIndex, recorded.shardCount}),
+                shardSpecText({current.shardIndex, current.shardCount}));
   }
   // Note: `jobs` is deliberately not compared — output is byte-identical
-  // at any worker count, so resuming at a different --jobs is safe.
+  // at any worker count (DESIGN.md §7), so resuming at a different --jobs
+  // is safe.
   return {};
 }
 
-// --- encode / decode ---------------------------------------------------------
-
-std::vector<std::uint8_t> Journal::encodeHeader(const CampaignConfig& config) {
-  PayloadWriter w;
+void putCampaignConfig(PayloadWriter& w, const CampaignConfig& config,
+                       bool shardExtension) {
   w.putU64(config.registryHash);
   w.putU64(config.faultPlanHash);
   w.putU64(config.seed);
@@ -257,21 +203,50 @@ std::vector<std::uint8_t> Journal::encodeHeader(const CampaignConfig& config) {
   w.putU64(config.cpuArrayBytes);
   w.putU64(config.gpuArrayBytes);
   w.putU64(config.mpiMessageSize);
-  if (config.shardCount != 0) {
-    // Optional shard extension: written only when sharded so unsharded
-    // journals stay byte-identical to the pre-shard format (and a merged
-    // journal stays comparable to a single-process run's bytes).
+  if (shardExtension && config.shardCount != 0) {
     w.putU32(config.shardIndex);
     w.putU32(config.shardCount);
   }
+}
 
-  std::vector<std::uint8_t> out(kMagic, kMagic + 4);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((kSchemaVersion >> (8 * i)) & 0xffu));
+CampaignConfig readCampaignConfig(PayloadReader& r, const FramedFormat& format,
+                                  bool shardExtension) {
+  CampaignConfig c;
+  c.registryHash = r.u64();
+  c.faultPlanHash = r.u64();
+  c.seed = r.u64();
+  c.runs = r.u32();
+  c.jobs = r.u32();
+  c.cellRetries = r.u32();
+  c.cpuArrayBytes = r.u64();
+  c.gpuArrayBytes = r.u64();
+  c.mpiMessageSize = r.u64();
+  if (!shardExtension) {
+    return c;
   }
-  const auto framed = frame(w.bytes());
-  out.insert(out.end(), framed.begin(), framed.end());
-  return out;
+  const std::string noun = format.noun;
+  if (!r.atEnd()) {
+    c.shardIndex = r.u32();
+    c.shardCount = r.u32();
+    if (c.shardCount == 0 || c.shardCount > kMaxShardCount ||
+        c.shardIndex >= c.shardCount) {
+      format.raise(noun + " header carries an invalid shard spec " +
+                   std::to_string(c.shardIndex) + "/" +
+                   std::to_string(c.shardCount));
+    }
+  }
+  if (!r.atEnd()) {
+    format.raise(noun + " header carries unexpected bytes");
+  }
+  return c;
+}
+
+// --- encode / decode ---------------------------------------------------------
+
+std::vector<std::uint8_t> Journal::encodeHeader(const CampaignConfig& config) {
+  PayloadWriter w;
+  putCampaignConfig(w, config, /*shardExtension=*/true);
+  return encodeFramedHeader(kFormat, w.bytes());
 }
 
 std::vector<std::uint8_t> Journal::encodeRecord(const CellRecord& record) {
@@ -289,148 +264,36 @@ std::vector<std::uint8_t> Journal::encodeRecord(const CellRecord& record) {
 
 Journal::Decoded Journal::decode(std::span<const std::uint8_t> bytes) {
   Decoded out;
-  if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    throw JournalCorruptError(
-        "not a nodebench campaign journal (bad magic bytes)");
-  }
-  const std::uint32_t version = readU32At(bytes, 4);
-  if (version != kSchemaVersion) {
-    throw JournalCorruptError("unsupported journal schema version " +
-                              std::to_string(version) + " (this build reads " +
-                              std::to_string(kSchemaVersion) + ")");
-  }
-  std::size_t pos = 8;
-
-  // Header frame: mandatory; corruption here is unrecoverable because
-  // without the configuration fingerprint, replayed records could not be
-  // trusted to match this run.
-  if (bytes.size() - pos < 8) {
-    throw JournalCorruptError("journal header truncated");
-  }
-  const std::uint32_t headerLen = readU32At(bytes, pos);
-  const std::uint32_t headerCrc = readU32At(bytes, pos + 4);
-  if (headerLen > kMaxRecordBytes || bytes.size() - pos - 8 < headerLen) {
-    throw JournalCorruptError("journal header truncated");
-  }
-  const auto headerPayload = bytes.subspan(pos + 8, headerLen);
-  if (crc32(headerPayload) != headerCrc) {
-    throw JournalCorruptError("journal header checksum mismatch");
-  }
-  {
-    PayloadReader r(headerPayload);
-    out.config.registryHash = r.u64();
-    out.config.faultPlanHash = r.u64();
-    out.config.seed = r.u64();
-    out.config.runs = r.u32();
-    out.config.jobs = r.u32();
-    out.config.cellRetries = r.u32();
-    out.config.cpuArrayBytes = r.u64();
-    out.config.gpuArrayBytes = r.u64();
-    out.config.mpiMessageSize = r.u64();
+  const auto onHeader = [&](std::span<const std::uint8_t> payload) {
+    PayloadReader r(payload);
+    out.config = readCampaignConfig(r, kFormat, /*shardExtension=*/true);
+  };
+  const auto onRecord = [&](std::span<const std::uint8_t> payload) {
+    PayloadReader r(payload);
+    CellRecord record;
+    record.machine = utf8Checked(kFormat, r.string(), "machine");
+    record.cell = utf8Checked(kFormat, r.string(), "cell");
+    record.attempts = r.u32();
+    const std::uint32_t failed = r.u32();
+    if (failed > 1) {
+      throw JournalCorruptError("journal record 'failed' flag out of range");
+    }
+    record.failed = failed == 1;
+    record.error = utf8Checked(kFormat, r.string(), "error");
+    const std::uint32_t blobLen = r.u32();
+    record.payload = r.blob(blobLen);
     if (!r.atEnd()) {
-      // Shard extension (present only on --shard journals).
-      out.config.shardIndex = r.u32();
-      out.config.shardCount = r.u32();
-      if (out.config.shardCount == 0 ||
-          out.config.shardCount > kMaxShardCount ||
-          out.config.shardIndex >= out.config.shardCount) {
-        throw JournalCorruptError(
-            "journal header carries an invalid shard spec " +
-            std::to_string(out.config.shardIndex) + "/" +
-            std::to_string(out.config.shardCount));
-      }
+      throw JournalCorruptError("journal record carries trailing bytes");
     }
-    if (!r.atEnd()) {
-      throw JournalCorruptError("journal header carries unexpected bytes");
-    }
-  }
-  pos += 8 + headerLen;
-  out.validBytes = pos;
-
-  // Record frames: the valid prefix replays; the first invalid frame
-  // marks a torn tail (a kill mid-append) and everything from there on
-  // is dropped with a warning.
-  while (pos < bytes.size()) {
-    const std::size_t remaining = bytes.size() - pos;
-    const auto tornTail = [&](const std::string& why) {
-      out.warnings.push_back(
-          "torn tail truncated: " + why + "; dropped " +
-          std::to_string(bytes.size() - pos) + " trailing byte(s), kept " +
-          std::to_string(out.records.size()) + " valid record(s)");
-    };
-    if (remaining < 8) {
-      tornTail("incomplete record frame");
-      break;
-    }
-    const std::uint32_t len = readU32At(bytes, pos);
-    const std::uint32_t crc = readU32At(bytes, pos + 4);
-    if (len > kMaxRecordBytes) {
-      tornTail("record length " + std::to_string(len) + " exceeds the " +
-               std::to_string(kMaxRecordBytes) + "-byte limit");
-      break;
-    }
-    if (remaining - 8 < len) {
-      tornTail("record extends past end of file");
-      break;
-    }
-    const auto payload = bytes.subspan(pos + 8, len);
-    if (crc32(payload) != crc) {
-      tornTail("record checksum mismatch");
-      break;
-    }
-    try {
-      PayloadReader r(payload);
-      CellRecord record;
-      record.machine = utf8Checked(r.string(), "machine");
-      record.cell = utf8Checked(r.string(), "cell");
-      record.attempts = r.u32();
-      const std::uint32_t failed = r.u32();
-      if (failed > 1) {
-        throw JournalCorruptError("journal record 'failed' flag out of range");
-      }
-      record.failed = failed == 1;
-      record.error = utf8Checked(r.string(), "error");
-      const std::uint32_t blobLen = r.u32();
-      record.payload = r.blob(blobLen);
-      if (!r.atEnd()) {
-        throw JournalCorruptError("journal record carries trailing bytes");
-      }
-      out.records.push_back(std::move(record));
-    } catch (const JournalCorruptError& e) {
-      tornTail(e.what());
-      break;
-    }
-    pos += 8 + len;
-    out.validBytes = pos;
-  }
+    out.records.push_back(std::move(record));
+  };
+  out.validBytes = decodeFramed(kFormat, bytes, onHeader, onRecord, out.warnings);
   return out;
 }
 
 // --- Journal lifecycle -------------------------------------------------------
 
 namespace {
-
-std::vector<std::uint8_t> readFileCapped(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw Error("cannot open journal file: " + path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    throw Error("cannot stat journal file: " + path);
-  }
-  if (static_cast<std::uintmax_t>(size) > kMaxJournalBytes) {
-    throw JournalCorruptError("journal file " + path + " is implausibly "
-                              "large (" + std::to_string(size) + " bytes)");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw Error("failed reading journal file: " + path);
-  }
-  return bytes;
-}
 
 void traceJournalEvent(trace::Category category, std::uint64_t bytes) {
   if (trace::TraceBuffer* tb = trace::current()) {
@@ -450,67 +313,32 @@ void traceJournalEvent(trace::Category category, std::uint64_t bytes) {
 
 std::unique_ptr<Journal> Journal::create(const std::string& path,
                                          const CampaignConfig& config) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) == 0) {
-    throw Error("journal file already exists: " + path +
-                " (pass --resume to continue the recorded campaign, or "
-                "remove the file to start fresh)");
-  }
-  io::atomicWrite(path, encodeHeader(config), kWhat);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    throw Error("cannot reopen journal for appending: " + path + ": " +
-                errnoText());
-  }
   auto journal = std::unique_ptr<Journal>(new Journal());
-  journal->path_ = path;
-  journal->fd_ = fd;
+  journal->log_ = FramedLog::create(kFormat, path, encodeHeader(config));
   journal->config_ = config;
   return journal;
 }
 
 std::unique_ptr<Journal> Journal::resume(const std::string& path,
                                          const CampaignConfig& current) {
-  const std::vector<std::uint8_t> bytes = readFileCapped(path);
+  const std::vector<std::uint8_t> bytes = loadCapped(kFormat, path);
   Decoded decoded = decode(bytes);
-  const std::string mismatch =
-      describeConfigMismatch(decoded.config, current);
-  if (!mismatch.empty()) {
-    throw JournalConfigMismatchError("cannot resume " + path + ": " +
-                                     mismatch);
-  }
-  if (decoded.validBytes < bytes.size()) {
-    // Torn tail: atomically rewrite the valid prefix so the append
-    // stream continues from a clean boundary.
-    io::atomicWrite(path, std::span(bytes).first(decoded.validBytes), kWhat);
-  }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    throw Error("cannot reopen journal for appending: " + path + ": " +
-                errnoText());
-  }
+  refuseMismatch(path, describeConfigMismatch(decoded.config, current));
   auto journal = std::unique_ptr<Journal>(new Journal());
-  journal->path_ = path;
-  journal->fd_ = fd;
+  journal->log_ = FramedLog::reopen(kFormat, path, bytes, decoded.validBytes);
   journal->config_ = decoded.config;
   journal->warnings_ = std::move(decoded.warnings);
   for (CellRecord& record : decoded.records) {
-    std::string key = recordKey(record.machine, record.cell);
+    std::string key = cellKey(record.machine, record.cell);
     journal->records_.emplace(std::move(key), std::move(record));
   }
   return journal;
 }
 
-Journal::~Journal() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
-}
-
 const CellRecord* Journal::find(std::string_view machine,
                                 std::string_view cell) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(recordKey(machine, cell));
+  const auto it = records_.find(cellKey(machine, cell));
   if (it == records_.end()) {
     return nullptr;
   }
@@ -523,12 +351,12 @@ const CellRecord* Journal::find(std::string_view machine,
 
 void Journal::append(CellRecord record) {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::string key = recordKey(record.machine, record.cell);
+  std::string key = cellKey(record.machine, record.cell);
   if (records_.find(key) != records_.end()) {
     return;  // idempotent: `table all` recomputes Tables 5/6 for Table 7
   }
   const std::vector<std::uint8_t> framed = encodeRecord(record);
-  io::appendDurable(fd_, framed, path_, kWhat);
+  log_->append(framed);
   traceJournalEvent(trace::Category::JournalAppend, framed.size());
   const bool isCell = !record.machine.empty();
   records_.emplace(std::move(key), std::move(record));

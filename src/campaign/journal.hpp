@@ -9,19 +9,17 @@
 /// run discarded every completed cell. The journal makes campaigns
 /// durable and resumable:
 ///
-///  - **Append-only record log.** One record per *completed* cell
-///    measurement (success or exhausted-retries failure), CRC32 +
-///    length-prefixed so a reader can always tell a valid prefix from a
-///    torn tail.
+///  - **Append-only record log** ("NBCJ" framed log,
+///    campaign/framed_log.hpp): one record per *completed* cell
+///    measurement (success or exhausted-retries failure).
 ///  - **Schema-versioned header** carrying the campaign configuration
 ///    fingerprint: machine-registry hash, fault-plan hash, seed,
 ///    `--runs`/`--jobs` and the array/message-size knobs. Resuming under
 ///    a different configuration is refused with a diagnostic naming the
 ///    mismatched parameter — silently mixing configurations is exactly
 ///    the reproducibility failure the journal exists to prevent.
-///  - **Atomic creation** (write temp, fsync, rename) and per-record
-///    fsync on append, so a kill at any byte boundary leaves a file the
-///    reader recovers from: the valid record prefix replays, the torn
+///  - **Torn-tail recovery.** A kill at any byte boundary leaves a file
+///    the reader recovers from: the valid record prefix replays, the torn
 ///    tail is truncated with a warning (never an abort).
 ///  - **Deterministic replay.** Record payloads store result values as
 ///    exact IEEE-754 bit patterns, so a resumed campaign's tables are
@@ -42,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "campaign/framed_log.hpp"
 #include "core/error.hpp"
 #include "core/stats.hpp"
 
@@ -51,13 +50,6 @@ namespace nodebench::campaign {
 /// schema version, corrupt header). Record-level corruption is *not* an
 /// error — it is recovered by torn-tail truncation.
 class JournalCorruptError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Thrown when `--resume` finds a journal recorded under a different
-/// campaign configuration; what() names the mismatched parameter.
-class JournalConfigMismatchError : public Error {
  public:
   using Error::Error;
 };
@@ -132,9 +124,33 @@ struct CampaignConfig {
 };
 
 /// "" when compatible, else a diagnostic naming the first mismatched
-/// parameter and both values (the `--resume` refusal message).
-[[nodiscard]] std::string describeConfigMismatch(const CampaignConfig& recorded,
-                                                 const CampaignConfig& current);
+/// parameter and both values (the `--resume` refusal message):
+/// "<noun> configuration mismatch: <param> was <x> when the <noun> was
+/// recorded but is <y> in this run; <advice>".
+[[nodiscard]] std::string describeConfigMismatch(
+    const CampaignConfig& recorded, const CampaignConfig& current,
+    std::string_view noun = "journal",
+    std::string_view advice =
+        "rerun with the original parameters or start a fresh journal");
+
+/// The CampaignConfig codec every framed header shares: the nine fixed
+/// fields, then — with `shardExtension` — the shard spec, written only
+/// when sharded so unsharded files stay byte-identical to the pre-shard
+/// format. NBSV passes false and follows the fixed fields with its own.
+void putCampaignConfig(PayloadWriter& w, const CampaignConfig& config,
+                       bool shardExtension);
+/// Reads what putCampaignConfig wrote. With `shardExtension` the header
+/// must end after the optional shard spec; an invalid spec or extra
+/// bytes throw `format`'s corruption error.
+[[nodiscard]] CampaignConfig readCampaignConfig(PayloadReader& r,
+                                                const FramedFormat& format,
+                                                bool shardExtension);
+
+/// "machine\x1fcell": the one key every journal, store and merge index
+/// uses for a cell (the unit separator cannot appear in valid UTF-8
+/// names).
+[[nodiscard]] std::string cellKey(std::string_view machine,
+                                  std::string_view cell);
 
 /// One journalled cell outcome. `payload` is the cell-specific value
 /// blob (empty for failed cells, which only carry their incident).
@@ -159,7 +175,7 @@ class Journal {
 
   /// Reopens an existing journal for resumption: replays the valid
   /// record prefix, truncates a torn tail (recorded in `warnings()`),
-  /// and throws JournalConfigMismatchError when the recorded
+  /// and throws ConfigMismatchError when the recorded
   /// configuration is incompatible with `current`.
   [[nodiscard]] static std::unique_ptr<Journal> resume(
       const std::string& path, const CampaignConfig& current);
@@ -181,7 +197,6 @@ class Journal {
   [[nodiscard]] static std::vector<std::uint8_t> encodeRecord(
       const CellRecord& record);
 
-  ~Journal();
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
@@ -216,8 +231,7 @@ class Journal {
  private:
   Journal() = default;
 
-  std::string path_;
-  int fd_ = -1;
+  std::unique_ptr<FramedLog> log_;
   CampaignConfig config_;
   std::map<std::string, CellRecord, std::less<>> records_;
   std::vector<std::string> warnings_;

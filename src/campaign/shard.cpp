@@ -1,7 +1,6 @@
 #include "campaign/shard.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 namespace nodebench::campaign {
@@ -14,15 +13,6 @@ namespace {
 constexpr std::uint32_t kMaxManifestCells = 1u << 16;
 constexpr std::uint32_t kManifestVersion = 1;
 constexpr std::uintmax_t kMaxShardFileBytes = 256ull << 20;
-
-std::string gridKey(std::string_view machine, std::string_view cell) {
-  std::string key;
-  key.reserve(machine.size() + 1 + cell.size());
-  key.append(machine);
-  key.push_back('\x1f');  // unit separator: cannot appear in valid UTF-8 names
-  key.append(cell);
-  return key;
-}
 
 }  // namespace
 
@@ -207,7 +197,7 @@ void ShardPlan::registerTable(const std::string& label,
   for (std::size_t i = manifest.assigned.begin; i < manifest.assigned.end;
        ++i) {
     assignedKeys_.insert(
-        gridKey(manifest.cells[i].machine, manifest.cells[i].cell));
+        cellKey(manifest.cells[i].machine, manifest.cells[i].cell));
   }
   tables_.emplace(label, std::move(manifest));
 }
@@ -215,33 +205,14 @@ void ShardPlan::registerTable(const std::string& label,
 bool ShardPlan::assigned(std::string_view machine,
                          std::string_view cell) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return assignedKeys_.find(gridKey(machine, cell)) != assignedKeys_.end();
+  return assignedKeys_.find(cellKey(machine, cell)) != assignedKeys_.end();
 }
 
 // --- merge -------------------------------------------------------------------
 
 ShardInput readShardInput(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw Error("cannot open shard journal: " + path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    throw Error("cannot stat shard journal: " + path);
-  }
-  if (static_cast<std::uintmax_t>(size) > kMaxShardFileBytes) {
-    throw ShardMergeError("shard journal " + path + " is implausibly large (" +
-                          std::to_string(size) + " bytes)");
-  }
-  ShardInput input;
-  input.name = path;
-  input.bytes.resize(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(input.bytes.data()), size)) {
-    throw Error("failed reading shard journal: " + path);
-  }
-  return input;
+  return {path, loadCapped(path, "shard journal", kMaxShardFileBytes,
+                           &raiseAs<ShardMergeError>)};
 }
 
 std::string shardPath(const std::string& base, const ShardSpec& spec) {
@@ -515,7 +486,7 @@ MergedCampaign mergeShardJournals(const std::vector<ShardInput>& shards,
   for (const TableManifest& manifest : first.manifests) {
     for (std::size_t j = 0; j < manifest.cells.size(); ++j) {
       const GridCell& cell = manifest.cells[j];
-      std::string key = gridKey(cell.machine, cell.cell);
+      std::string key = cellKey(cell.machine, cell.cell);
       if (!gridIndex.emplace(std::move(key), out.grid.size()).second) {
         throw ShardMergeError("cannot merge: the campaign grid lists cell (" +
                               cell.machine + ", " + cell.cell + ") twice");
@@ -545,7 +516,7 @@ MergedCampaign mergeShardJournals(const std::vector<ShardInput>& shards,
     }
     const DecodedShard& d = *byIndex[i];
     for (const CellRecord* record : d.cells) {
-      std::string key = gridKey(record->machine, record->cell);
+      std::string key = cellKey(record->machine, record->cell);
       const auto git = gridIndex.find(key);
       if (git == gridIndex.end()) {
         throw ShardMergeError("cannot merge: " + d.name +
@@ -570,7 +541,7 @@ MergedCampaign mergeShardJournals(const std::vector<ShardInput>& shards,
   }
   for (std::size_t g = 0; g < out.grid.size(); ++g) {
     const std::uint32_t owner = out.ownerShard[g];
-    const std::string key = gridKey(out.grid[g].machine, out.grid[g].cell);
+    const std::string key = cellKey(out.grid[g].machine, out.grid[g].cell);
     if (byIndex[owner] == nullptr ||
         records[owner].find(key) == records[owner].end()) {
       if (options.allowPartial) {
@@ -601,7 +572,7 @@ MergedCampaign mergeShardJournals(const std::vector<ShardInput>& shards,
       ++nextMissing;
       continue;
     }
-    const std::string key = gridKey(out.grid[g].machine, out.grid[g].cell);
+    const std::string key = cellKey(out.grid[g].machine, out.grid[g].cell);
     const CellRecord* record = records[out.ownerShard[g]].at(key);
     const std::vector<std::uint8_t> framed = Journal::encodeRecord(*record);
     out.journalBytes.insert(out.journalBytes.end(), framed.begin(),

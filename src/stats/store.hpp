@@ -5,25 +5,17 @@
 ///
 /// The campaign journal (campaign/journal.hpp) persists *summaries* so a
 /// crashed run can resume; this store persists *samples* so two runs can
-/// be compared statistically (`nodebench compare` / `gate`). Format:
+/// be compared statistically (`nodebench compare` / `gate`).
 ///
-///   magic "NBRS" | u32 schema version
-///   CRC32-framed header: the same campaign-configuration fingerprint a
-///     journal records (registry hash, fault-plan hash, seed, --runs,
-///     --jobs, retry budget, array/message sizes) — a comparison between
-///     stores can therefore name exactly which knob differed.
-///   CRC32-framed records: machine, cell, quantity, unit, direction
-///     (lower- or higher-is-better), the Summary, and every raw sample
-///     as an exact IEEE-754 bit pattern.
-///
-/// Framing and payload serialization reuse the campaign layer
-/// (core/checksum CRC32, campaign::PayloadWriter/Reader), but the decode
-/// policy is deliberately stricter than the journal's: a journal
-/// tolerates a torn tail because a crash mid-campaign is its normal
-/// operating condition, while a results store is a finished artifact —
-/// any invalid frame means the file cannot be trusted as a baseline and
-/// decoding throws StoreCorruptError instead of silently comparing
-/// against a partial run. The decoder is a fuzz target (tests/fuzz/).
+/// The file is an "NBRS" framed log (campaign/framed_log.hpp). Its header
+/// is the journal's campaign-configuration fingerprint, so a comparison
+/// between stores can name exactly which knob differed; each record is
+/// machine, cell, quantity, unit, direction (lower- or higher-is-better),
+/// the Summary and every raw sample as an exact IEEE-754 bit pattern.
+/// Unlike the journal it refuses a torn tail: a store is a finished
+/// artifact, so any invalid frame throws StoreCorruptError instead of
+/// silently comparing against a partial run. The decoder is a fuzz
+/// target (tests/fuzz/).
 ///
 /// Appends are idempotent per (machine, cell, quantity) and thread-safe:
 /// the parallel table harness writes records from worker threads, so
@@ -50,14 +42,6 @@ namespace nodebench::stats {
 /// version, or any framing/payload corruption. Unlike the journal there
 /// is no torn-tail recovery — a results artifact is all-or-nothing.
 class StoreCorruptError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Thrown when `--store` with `--resume` finds a store recorded under a
-/// different campaign configuration; what() names the mismatched
-/// parameter (same UX as the journal's `--resume` refusal).
-class StoreConfigMismatchError : public Error {
  public:
   using Error::Error;
 };
@@ -103,7 +87,7 @@ class ResultStore {
   /// Opens a store for a campaign: `resume == false` is create();
   /// `resume == true` reopens an existing file for appending — after
   /// verifying its recorded configuration matches `current`
-  /// (StoreConfigMismatchError naming the parameter otherwise) — or
+  /// (campaign::ConfigMismatchError naming the parameter otherwise) — or
   /// creates the file when it does not exist yet.
   [[nodiscard]] static std::unique_ptr<ResultStore> attach(
       const std::string& path, const campaign::CampaignConfig& current,
@@ -123,7 +107,6 @@ class ResultStore {
   [[nodiscard]] static std::vector<std::uint8_t> encodeRecord(
       const SampleRecord& record);
 
-  ~ResultStore();
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
@@ -144,8 +127,7 @@ class ResultStore {
  private:
   ResultStore() = default;
 
-  std::string path_;
-  int fd_ = -1;
+  std::unique_ptr<campaign::FramedLog> log_;
   campaign::CampaignConfig config_;
   std::set<std::string, std::less<>> recordKeys_;
   std::set<std::string, std::less<>> cellKeys_;

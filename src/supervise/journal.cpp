@@ -1,17 +1,8 @@
 #include "supervise/journal.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
-#include "campaign/io.hpp"
 #include "campaign/shard.hpp"
-#include "core/checksum.hpp"
 #include "core/utf8.hpp"
 
 namespace nodebench::supervise {
@@ -21,63 +12,21 @@ using campaign::PayloadWriter;
 
 namespace {
 
-constexpr char kMagic[4] = {'N', 'B', 'S', 'V'};
-constexpr std::uint32_t kSchemaVersion = 1;
-constexpr const char* kWhat = "supervisor journal";
-
 /// Decode limits, sized like the campaign journal's: an event is a few
 /// integers plus one incident string, and even a pathological campaign
 /// journals a few thousand events.
-constexpr std::uint32_t kMaxEventBytes = 1u << 20;
-constexpr std::uintmax_t kMaxJournalBytes = 64ull << 20;
-
-/// One length-prefixed CRC-framed chunk: [u32 len][u32 crc][payload] —
-/// byte-compatible with the campaign journal's framing.
-std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xffu));
-  }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xffu));
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-std::uint32_t readU32At(std::span<const std::uint8_t> bytes, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-std::vector<std::uint8_t> readFileCapped(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw Error("cannot open supervisor journal: " + path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    throw Error("cannot stat supervisor journal: " + path);
-  }
-  if (static_cast<std::uintmax_t>(size) > kMaxJournalBytes) {
-    throw SupervisorJournalError("supervisor journal " + path +
-                                 " is implausibly large (" +
-                                 std::to_string(size) + " bytes)");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (size > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw Error("failed reading supervisor journal: " + path);
-  }
-  return bytes;
-}
+constexpr campaign::FramedFormat kFormat{
+    .magic = {'N', 'B', 'S', 'V'},
+    .version = 1,
+    .maxFrameBytes = 1u << 20,
+    .maxFileBytes = 64ull << 20,
+    .tail = campaign::TailPolicy::Truncate,
+    .raise = &campaign::raiseAs<SupervisorJournalError>,
+    .title = "supervisor journal",
+    .noun = "supervisor journal",
+    .fileNoun = "supervisor journal",
+    .unit = "event",
+};
 
 }  // namespace
 
@@ -94,27 +43,20 @@ std::string describeSupervisorConfigMismatch(const SupervisorConfig& recorded,
   if (!campaignMismatch.empty()) {
     return campaignMismatch;
   }
-  const auto diff = [](const std::string& param, std::uint32_t was,
-                       std::uint32_t now) {
-    return "supervisor configuration mismatch: " + param + " was " +
-           std::to_string(was) + " when the campaign started but is " +
-           std::to_string(now) +
-           " in this run; rerun with the original parameters or start a "
-           "fresh campaign";
-  };
-  if (recorded.shards != current.shards) {
-    return diff("--shards", recorded.shards, current.shards);
-  }
-  if (recorded.maxAttempts != current.maxAttempts) {
-    return diff("--max-attempts", recorded.maxAttempts, current.maxAttempts);
-  }
-  if (recorded.backoffBaseMs != current.backoffBaseMs) {
-    return diff("--backoff-base-ms", recorded.backoffBaseMs,
-                current.backoffBaseMs);
-  }
-  if (recorded.backoffCapMs != current.backoffCapMs) {
-    return diff("--backoff-cap-ms", recorded.backoffCapMs,
-                current.backoffCapMs);
+  static constexpr std::pair<const char*, std::uint32_t SupervisorConfig::*>
+      kFields[] = {{"--shards", &SupervisorConfig::shards},
+                   {"--max-attempts", &SupervisorConfig::maxAttempts},
+                   {"--backoff-base-ms", &SupervisorConfig::backoffBaseMs},
+                   {"--backoff-cap-ms", &SupervisorConfig::backoffCapMs}};
+  for (const auto& [param, field] : kFields) {
+    if (recorded.*field != current.*field) {
+      return "supervisor configuration mismatch: " + std::string(param) +
+             " was " + std::to_string(recorded.*field) +
+             " when the campaign started but is " +
+             std::to_string(current.*field) +
+             " in this run; rerun with the original parameters or start a "
+             "fresh campaign";
+    }
   }
   return {};
 }
@@ -122,28 +64,12 @@ std::string describeSupervisorConfigMismatch(const SupervisorConfig& recorded,
 std::vector<std::uint8_t> SupervisorJournal::encodeHeader(
     const SupervisorConfig& config) {
   PayloadWriter w;
-  w.putU64(config.campaign.registryHash);
-  w.putU64(config.campaign.faultPlanHash);
-  w.putU64(config.campaign.seed);
-  w.putU32(config.campaign.runs);
-  w.putU32(config.campaign.jobs);
-  w.putU32(config.campaign.cellRetries);
-  w.putU64(config.campaign.cpuArrayBytes);
-  w.putU64(config.campaign.gpuArrayBytes);
-  w.putU64(config.campaign.mpiMessageSize);
+  campaign::putCampaignConfig(w, config.campaign, /*shardExtension=*/false);
   w.putU32(config.shards);
   w.putU32(config.maxAttempts);
   w.putU32(config.backoffBaseMs);
   w.putU32(config.backoffCapMs);
-
-  std::vector<std::uint8_t> out(kMagic, kMagic + 4);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(
-        static_cast<std::uint8_t>((kSchemaVersion >> (8 * i)) & 0xffu));
-  }
-  const auto framed = frame(w.bytes());
-  out.insert(out.end(), framed.begin(), framed.end());
-  return out;
+  return campaign::encodeFramedHeader(kFormat, w.bytes());
 }
 
 std::vector<std::uint8_t> SupervisorJournal::encodeEvent(
@@ -154,49 +80,16 @@ std::vector<std::uint8_t> SupervisorJournal::encodeEvent(
   w.putU32(event.attempt);
   w.putU64(event.pid);
   w.putString(event.detail);
-  return frame(w.bytes());
+  return campaign::frame(w.bytes());
 }
 
 SupervisorJournal::Decoded SupervisorJournal::decode(
     std::span<const std::uint8_t> bytes) {
   Decoded out;
-  if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    throw SupervisorJournalError(
-        "not a nodebench supervisor journal (bad magic bytes)");
-  }
-  const std::uint32_t version = readU32At(bytes, 4);
-  if (version != kSchemaVersion) {
-    throw SupervisorJournalError(
-        "unsupported supervisor journal schema version " +
-        std::to_string(version) + " (this build reads " +
-        std::to_string(kSchemaVersion) + ")");
-  }
-  std::size_t pos = 8;
-
-  if (bytes.size() - pos < 8) {
-    throw SupervisorJournalError("supervisor journal header truncated");
-  }
-  const std::uint32_t headerLen = readU32At(bytes, pos);
-  const std::uint32_t headerCrc = readU32At(bytes, pos + 4);
-  if (headerLen > kMaxEventBytes || bytes.size() - pos - 8 < headerLen) {
-    throw SupervisorJournalError("supervisor journal header truncated");
-  }
-  const auto headerPayload = bytes.subspan(pos + 8, headerLen);
-  if (crc32(headerPayload) != headerCrc) {
-    throw SupervisorJournalError(
-        "supervisor journal header checksum mismatch");
-  }
-  try {
-    PayloadReader r(headerPayload);
-    out.config.campaign.registryHash = r.u64();
-    out.config.campaign.faultPlanHash = r.u64();
-    out.config.campaign.seed = r.u64();
-    out.config.campaign.runs = r.u32();
-    out.config.campaign.jobs = r.u32();
-    out.config.campaign.cellRetries = r.u32();
-    out.config.campaign.cpuArrayBytes = r.u64();
-    out.config.campaign.gpuArrayBytes = r.u64();
-    out.config.campaign.mpiMessageSize = r.u64();
+  const auto onHeader = [&](std::span<const std::uint8_t> payload) {
+    PayloadReader r(payload);
+    out.config.campaign =
+        campaign::readCampaignConfig(r, kFormat, /*shardExtension=*/false);
     out.config.shards = r.u32();
     out.config.maxAttempts = r.u32();
     out.config.backoffBaseMs = r.u32();
@@ -205,142 +98,76 @@ SupervisorJournal::Decoded SupervisorJournal::decode(
       throw campaign::JournalCorruptError(
           "supervisor journal header carries unexpected bytes");
     }
-  } catch (const campaign::JournalCorruptError& e) {
-    throw SupervisorJournalError(e.what());
-  }
-  if (out.config.shards == 0 ||
-      out.config.shards > campaign::kMaxShardCount) {
-    throw SupervisorJournalError(
-        "supervisor journal header carries an invalid shard count " +
-        std::to_string(out.config.shards));
-  }
-  pos += 8 + headerLen;
-  out.validBytes = pos;
-
-  while (pos < bytes.size()) {
-    const std::size_t remaining = bytes.size() - pos;
-    const auto tornTail = [&](const std::string& why) {
-      out.warnings.push_back(
-          "torn tail truncated: " + why + "; dropped " +
-          std::to_string(bytes.size() - pos) + " trailing byte(s), kept " +
-          std::to_string(out.events.size()) + " valid event(s)");
-    };
-    if (remaining < 8) {
-      tornTail("incomplete event frame");
-      break;
+    if (out.config.shards == 0 ||
+        out.config.shards > campaign::kMaxShardCount) {
+      throw SupervisorJournalError(
+          "supervisor journal header carries an invalid shard count " +
+          std::to_string(out.config.shards));
     }
-    const std::uint32_t len = readU32At(bytes, pos);
-    const std::uint32_t crc = readU32At(bytes, pos + 4);
-    if (len > kMaxEventBytes) {
-      tornTail("event length " + std::to_string(len) + " exceeds the " +
-               std::to_string(kMaxEventBytes) + "-byte limit");
-      break;
+  };
+  const auto onEvent = [&](std::span<const std::uint8_t> payload) {
+    PayloadReader r(payload);
+    SupervisorEvent event;
+    const std::uint32_t kind = r.u32();
+    if (kind < 1 || kind > 4) {
+      throw campaign::JournalCorruptError(
+          "supervisor event kind " + std::to_string(kind) + " out of range");
     }
-    if (remaining - 8 < len) {
-      tornTail("event extends past end of file");
-      break;
+    event.kind = static_cast<EventKind>(kind);
+    event.shard = r.u32();
+    event.attempt = r.u32();
+    event.pid = r.u64();
+    event.detail = r.string();
+    if (!validUtf8(event.detail)) {
+      throw campaign::JournalCorruptError(
+          "supervisor event carries invalid UTF-8 in its detail field");
     }
-    const auto payload = bytes.subspan(pos + 8, len);
-    if (crc32(payload) != crc) {
-      tornTail("event checksum mismatch");
-      break;
+    if (event.shard >= out.config.shards) {
+      throw campaign::JournalCorruptError(
+          "supervisor event names shard " + std::to_string(event.shard) +
+          " but the campaign has " + std::to_string(out.config.shards) +
+          " shard(s)");
     }
-    try {
-      PayloadReader r(payload);
-      SupervisorEvent event;
-      const std::uint32_t kind = r.u32();
-      if (kind < 1 || kind > 4) {
-        throw campaign::JournalCorruptError(
-            "supervisor event kind " + std::to_string(kind) +
-            " out of range");
-      }
-      event.kind = static_cast<EventKind>(kind);
-      event.shard = r.u32();
-      event.attempt = r.u32();
-      event.pid = r.u64();
-      event.detail = r.string();
-      if (!validUtf8(event.detail)) {
-        throw campaign::JournalCorruptError(
-            "supervisor event carries invalid UTF-8 in its detail field");
-      }
-      if (event.shard >= out.config.shards) {
-        throw campaign::JournalCorruptError(
-            "supervisor event names shard " + std::to_string(event.shard) +
-            " but the campaign has " + std::to_string(out.config.shards) +
-            " shard(s)");
-      }
-      if (!r.atEnd()) {
-        throw campaign::JournalCorruptError(
-            "supervisor event carries trailing bytes");
-      }
-      out.events.push_back(std::move(event));
-    } catch (const campaign::JournalCorruptError& e) {
-      tornTail(e.what());
-      break;
+    if (!r.atEnd()) {
+      throw campaign::JournalCorruptError(
+          "supervisor event carries trailing bytes");
     }
-    pos += 8 + len;
-    out.validBytes = pos;
-  }
+    out.events.push_back(std::move(event));
+  };
+  out.validBytes =
+      campaign::decodeFramed(kFormat, bytes, onHeader, onEvent, out.warnings);
   return out;
+}
+
+SupervisorJournal::Decoded SupervisorJournal::load(const std::string& path) {
+  return decode(campaign::loadCapped(kFormat, path));
 }
 
 std::unique_ptr<SupervisorJournal> SupervisorJournal::create(
     const std::string& path, const SupervisorConfig& config) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) == 0) {
-    throw Error("supervisor journal already exists: " + path +
-                " (pass --resume to continue the recorded campaign, or "
-                "remove the file to start fresh)");
-  }
-  campaign::io::atomicWrite(path, encodeHeader(config), kWhat);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    throw Error("cannot reopen supervisor journal for appending: " + path +
-                ": " + std::strerror(errno));
-  }
   auto journal = std::unique_ptr<SupervisorJournal>(new SupervisorJournal());
-  journal->path_ = path;
-  journal->fd_ = fd;
+  journal->log_ = campaign::FramedLog::create(kFormat, path, encodeHeader(config));
   journal->config_ = config;
   return journal;
 }
 
 std::unique_ptr<SupervisorJournal> SupervisorJournal::resume(
     const std::string& path, const SupervisorConfig& current) {
-  const std::vector<std::uint8_t> bytes = readFileCapped(path);
+  const std::vector<std::uint8_t> bytes = campaign::loadCapped(kFormat, path);
   Decoded decoded = decode(bytes);
-  const std::string mismatch =
-      describeSupervisorConfigMismatch(decoded.config, current);
-  if (!mismatch.empty()) {
-    throw Error("cannot resume " + path + ": " + mismatch);
-  }
-  if (decoded.validBytes < bytes.size()) {
-    campaign::io::atomicWrite(path, std::span(bytes).first(decoded.validBytes),
-                              kWhat);
-  }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    throw Error("cannot reopen supervisor journal for appending: " + path +
-                ": " + std::strerror(errno));
-  }
+  campaign::refuseMismatch(
+      path, describeSupervisorConfigMismatch(decoded.config, current));
   auto journal = std::unique_ptr<SupervisorJournal>(new SupervisorJournal());
-  journal->path_ = path;
-  journal->fd_ = fd;
+  journal->log_ =
+      campaign::FramedLog::reopen(kFormat, path, bytes, decoded.validBytes);
   journal->config_ = decoded.config;
   journal->events_ = std::move(decoded.events);
   journal->warnings_ = std::move(decoded.warnings);
   return journal;
 }
 
-SupervisorJournal::~SupervisorJournal() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
-}
-
 void SupervisorJournal::append(const SupervisorEvent& event) {
-  const std::vector<std::uint8_t> framed = encodeEvent(event);
-  campaign::io::appendDurable(fd_, framed, path_, kWhat);
+  log_->append(encodeEvent(event));
   events_.push_back(event);
 }
 

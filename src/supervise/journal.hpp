@@ -5,13 +5,12 @@
 /// The supervisor must survive its own SIGKILL: which shard is leased to
 /// which pid, how many attempts each shard has burned, and which shards
 /// are done or poisoned all have to be reconstructable on `--resume`.
-/// This journal records that state as an append-only event log using the
-/// exact on-disk discipline of the campaign journal (`src/campaign`):
-/// magic + schema version, a CRC32-framed fsynced header carrying the
-/// campaign fingerprint plus the supervise parameters, then one
-/// CRC32-framed fsynced event per lease transition. A kill mid-append
-/// leaves a torn tail the resume path truncates with a warning; resuming
-/// under different parameters is refused naming the parameter.
+/// This journal records that state as an "NBSV" framed log
+/// (campaign/framed_log.hpp): a header carrying the campaign fingerprint
+/// plus the supervise parameters, then one fsynced event per lease
+/// transition. A torn tail is truncated with a warning on resume, like
+/// the campaign journal's; resuming under different parameters is
+/// refused naming the parameter.
 ///
 /// Event semantics on replay (see LeaseScheduler::replay):
 ///  - AttemptStarted without a matching terminal event = the supervisor
@@ -86,7 +85,8 @@ class SupervisorJournal {
       const std::string& path, const SupervisorConfig& config);
 
   /// Replays the valid event prefix, truncates a torn tail (recorded in
-  /// warnings()), refuses a parameter mismatch naming the parameter.
+  /// warnings()), refuses a parameter mismatch naming the parameter
+  /// (campaign::ConfigMismatchError, like the journal and the store).
   [[nodiscard]] static std::unique_ptr<SupervisorJournal> resume(
       const std::string& path, const SupervisorConfig& current);
 
@@ -98,13 +98,16 @@ class SupervisorJournal {
   };
   /// Pure in-memory decode (tests exercise torn tails through this).
   [[nodiscard]] static Decoded decode(std::span<const std::uint8_t> bytes);
+  /// Reads (under the format's 64 MiB file cap) and decodes a file
+  /// without opening it for appending — the quarantine record
+  /// `merge --supervisor-journal` reads.
+  [[nodiscard]] static Decoded load(const std::string& path);
 
   [[nodiscard]] static std::vector<std::uint8_t> encodeHeader(
       const SupervisorConfig& config);
   [[nodiscard]] static std::vector<std::uint8_t> encodeEvent(
       const SupervisorEvent& event);
 
-  ~SupervisorJournal();
   SupervisorJournal(const SupervisorJournal&) = delete;
   SupervisorJournal& operator=(const SupervisorJournal&) = delete;
 
@@ -122,8 +125,7 @@ class SupervisorJournal {
  private:
   SupervisorJournal() = default;
 
-  std::string path_;
-  int fd_ = -1;
+  std::unique_ptr<campaign::FramedLog> log_;
   SupervisorConfig config_;
   std::vector<SupervisorEvent> events_;
   std::vector<std::string> warnings_;

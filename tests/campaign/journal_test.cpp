@@ -320,8 +320,8 @@ TEST_F(JournalFileTest, ResumeRefusesChangedConfigNamingParameter) {
   changed.runs = 7;
   try {
     (void)Journal::resume(path(), changed);
-    FAIL() << "expected JournalConfigMismatchError";
-  } catch (const JournalConfigMismatchError& e) {
+    FAIL() << "expected ConfigMismatchError";
+  } catch (const ConfigMismatchError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("--runs"), std::string::npos) << what;
     EXPECT_NE(what.find("100"), std::string::npos) << what;

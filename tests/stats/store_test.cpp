@@ -213,7 +213,7 @@ TEST(ResultStoreFile, AttachResumeRejectsConfigMismatchNamingParameter) {
   try {
     (void)ResultStore::attach(path, other, /*resume=*/true);
     FAIL() << "mismatched --runs accepted";
-  } catch (const StoreConfigMismatchError& e) {
+  } catch (const campaign::ConfigMismatchError& e) {
     EXPECT_NE(std::string(e.what()).find("--runs"), std::string::npos)
         << e.what();
   }

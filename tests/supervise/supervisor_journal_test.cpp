@@ -142,6 +142,9 @@ TEST(SupervisorJournal, ResumeRefusesParameterMismatchNamingIt) {
       EXPECT_NE(std::string(e.what()).find(param), std::string::npos)
           << "diagnostic should name " << param << ": " << e.what();
     }
+    // The same mismatch type the campaign journal and the store throw.
+    EXPECT_THROW((void)SupervisorJournal::resume(path, changed),
+                 campaign::ConfigMismatchError);
   };
 
   auto c = cfg;
