@@ -16,10 +16,7 @@
 /// `--trace FILE` (Chrome trace_event JSON, loadable in Perfetto) and
 /// `--metrics` (aggregated counters/histograms appendix on stdout).
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -121,12 +118,7 @@ int usage() {
       "          statistically significant, material regression\n"
       "  table/export also accept --shard i/N (requires --journal):\n"
       "  measure only shard i's deterministic slice of the cell grid\n"
-      "  shard <1..9|all> --shards N --journal BASE [--store BASE]\n"
-      "          [--runs N] [--jobs N] [--faults F] [--resume]\n"
-      "          [--merge-out F] [--merge-store-out F]  fork N worker\n"
-      "          processes, each measuring shard i/N into\n"
-      "          BASE.shard<i>of<N>; exits 43 when a worker was\n"
-      "          interrupted (rerun with --resume to finish)\n"
+      "  (hand-run one per host, then `merge`; `supervise` runs them all)\n"
       "  merge --out F [--stores S]... [--store-out F] <journals...>\n"
       "          validate a complete shard set and write the merged\n"
       "          journal (and store) byte-identical to a single-process\n"
@@ -1012,84 +1004,16 @@ int cmdCompare(std::vector<std::string> args, bool gate) {
   return 0;
 }
 
-/// Reads + merges a complete shard journal set (and, optionally, the
-/// matching stores) and writes the merged artifacts. Shared by
-/// `nodebench merge` and the driver's --merge-out. Outputs are refused
-/// when they already exist — a merge is a derived artifact, and silently
-/// clobbering a previous one is how stale baselines are born.
-int runMerge(const std::vector<std::string>& journalPaths,
-             const std::string& outPath,
-             const std::vector<std::string>& storePaths,
-             const std::optional<std::string>& storeOutPath,
-             const campaign::MergeOptions& mopt = {},
-             const std::optional<std::string>& gapOutPath = std::nullopt) {
-  struct stat st {};
-  if (::stat(outPath.c_str(), &st) == 0) {
-    throw Error("merge output already exists: " + outPath +
-                " (remove it first, or merge to a different path)");
-  }
-  if (storeOutPath && ::stat(storeOutPath->c_str(), &st) == 0) {
-    throw Error("merge output already exists: " + *storeOutPath +
-                " (remove it first, or merge to a different path)");
-  }
-  std::vector<campaign::ShardInput> inputs;
-  inputs.reserve(journalPaths.size());
-  for (const std::string& path : journalPaths) {
-    inputs.push_back(campaign::readShardInput(path));
-  }
-  const campaign::MergedCampaign merged =
-      campaign::mergeShardJournals(inputs, mopt);
-  campaign::io::atomicWrite(outPath, merged.journalBytes, "merge");
-  std::cout << "merged " << inputs.size() << " shard journal(s) -> "
-            << outPath << " ("
-            << merged.grid.size() - merged.missingCells.size()
-            << " cell record(s))\n";
-  if (storeOutPath) {
-    std::vector<stats::ShardStoreInput> stores;
-    stores.reserve(storePaths.size());
-    for (const std::string& path : storePaths) {
-      stores.push_back(stats::loadShardStoreInput(path));
-    }
-    const std::vector<std::uint8_t> bytes =
-        stats::mergeShardStores(stores, merged);
-    campaign::io::atomicWrite(*storeOutPath, bytes, "merge");
-    std::cout << "merged " << stores.size() << " shard store(s) -> "
-              << *storeOutPath << "\n";
-  }
-  if (!merged.partial) {
-    return 0;
-  }
-  // Partial: a smaller table is never silent. The gap manifest names
-  // every missing shard and cell, and the exit code is distinct.
-  const std::string gapPath =
-      gapOutPath ? *gapOutPath : outPath + ".gaps.json";
-  const std::string manifest = campaign::renderGapManifest(merged);
-  campaign::io::atomicWrite(
-      gapPath,
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(manifest.data()),
-          manifest.size()),
-      "gap manifest");
-  std::cerr << "nodebench merge: PARTIAL merge: "
-            << merged.missingCells.size() << " cell(s) from "
-            << merged.missingShards.size()
-            << " missing shard(s); gap manifest at " << gapPath << "\n";
-  return supervise::kPartialCampaignExitCode;
-}
-
 /// Reads a supervisor journal and returns its quarantine record (shard,
 /// attempts, last incident per poisoned shard) so a hand-driven
 /// `merge --allow-partial` names *why* each shard is missing, exactly as
 /// the supervisor's own degrade path does.
 std::vector<campaign::ShardGap> quarantineFromSupervisorJournal(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  if (!std::ifstream(path)) {
     throw Error("cannot read supervisor journal: " + path);
   }
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const auto decoded = supervise::SupervisorJournal::decode(bytes);
+  const auto decoded = supervise::SupervisorJournal::load(path);
   std::map<std::uint32_t, campaign::ShardGap> gaps;
   for (const supervise::SupervisorEvent& event : decoded.events) {
     if (event.kind == supervise::EventKind::ShardPoisoned) {
@@ -1166,172 +1090,28 @@ int cmdMerge(std::vector<std::string> args) {
   if (supJournal) {
     mopt.quarantined = quarantineFromSupervisorJournal(*supJournal);
   }
-  return runMerge(args, *out, storePaths, storeOut, mopt, gapOut);
-}
-
-/// `nodebench shard`: the multi-process campaign driver. Forks N worker
-/// processes — fork happens before any threads exist in this process —
-/// each exec'ing this same binary as `table <which> --shard i/N` with a
-/// shard-suffixed journal (and store). Worker stdout is discarded (the
-/// deliverable is the shard artifacts); stderr is inherited so journal
-/// chatter and errors stay visible.
-int cmdShard(std::vector<std::string> args) {
-  const auto shards = positiveFlagValue(args, "--shards");
-  if (!shards) {
-    throw Error("shard requires --shards N (the worker-process count)");
-  }
-  if (static_cast<std::uint32_t>(*shards) > campaign::kMaxShardCount) {
-    throw Error("--shards must be at most " +
-                std::to_string(campaign::kMaxShardCount));
-  }
-  const auto count = static_cast<std::uint32_t>(*shards);
-  const auto journalBase = flagValue(args, "--journal");
-  if (!journalBase) {
-    if (std::find(args.begin(), args.end(), "--journal") != args.end()) {
-      throw Error("--journal expects a value");
-    }
-    throw Error("shard requires --journal BASE (worker journals land at "
-                "BASE.shard<i>of<N>)");
-  }
-  const auto storeBase = flagValue(args, "--store");
-  if (!storeBase &&
-      std::find(args.begin(), args.end(), "--store") != args.end()) {
-    throw Error("--store expects a value");
-  }
-  const auto runs = positiveFlagValue(args, "--runs");
-  const auto jobs = positiveFlagValue(args, "--jobs");
-  const auto faults = flagValue(args, "--faults");
-  const auto delay = positiveFlagValue(args, "--test-cell-delay-ms");
-  const bool resume = flagPresent(args, "--resume");
-  const auto mergeOut = flagValue(args, "--merge-out");
-  const auto mergeStoreOut = flagValue(args, "--merge-store-out");
-  rejectLeftoverFlags(args);
-  if (args.size() != 1) {
-    return usage();
-  }
-  const std::string which = args[0];
-  if (mergeStoreOut && !storeBase) {
-    throw Error("--merge-store-out requires --store BASE (the workers "
-                "must write shard stores to merge)");
-  }
-  if (mergeStoreOut && !mergeOut) {
-    throw Error("--merge-store-out requires --merge-out FILE");
-  }
-
-  std::vector<std::string> journalPaths(count);
-  std::vector<std::string> storePaths;
-  std::vector<pid_t> pids(count, -1);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const campaign::ShardSpec spec{i, count};
-    journalPaths[i] = campaign::shardPath(*journalBase, spec);
-    if (storeBase) {
-      storePaths.push_back(campaign::shardPath(*storeBase, spec));
-    }
-    std::vector<std::string> workerArgs = {
-        "nodebench",          "table", which, "--shard",
-        campaign::shardSpecText(spec), "--journal", journalPaths[i]};
-    if (storeBase) {
-      workerArgs.push_back("--store");
-      workerArgs.push_back(storePaths[i]);
-    }
-    if (runs) {
-      workerArgs.push_back("--runs");
-      workerArgs.push_back(std::to_string(*runs));
-    }
-    if (jobs) {
-      workerArgs.push_back("--jobs");
-      workerArgs.push_back(std::to_string(*jobs));
-    }
-    if (faults) {
-      workerArgs.push_back("--faults");
-      workerArgs.push_back(*faults);
-    }
-    if (delay) {
-      workerArgs.push_back("--test-cell-delay-ms");
-      workerArgs.push_back(std::to_string(*delay));
-    }
-    // A worker resumes only when its own journal already exists: on the
-    // first --resume after a partial campaign, finished shards replay,
-    // never-started shards begin fresh.
+  // A merge is a derived artifact: silently clobbering a previous one is
+  // how stale baselines are born.
+  for (const auto& path : {out, storeOut}) {
     struct stat st {};
-    if (resume && ::stat(journalPaths[i].c_str(), &st) == 0) {
-      workerArgs.push_back("--resume");
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      throw Error(std::string("fork failed: ") + std::strerror(errno));
-    }
-    if (pid == 0) {
-      // Worker: discard stdout (tables are rebuilt by the merge), keep
-      // stderr, become `nodebench table ... --shard i/N`.
-      const int devnull = ::open("/dev/null", O_WRONLY);
-      if (devnull >= 0) {
-        ::dup2(devnull, STDOUT_FILENO);
-        ::close(devnull);
-      }
-      std::vector<char*> argvC;
-      argvC.reserve(workerArgs.size() + 1);
-      for (std::string& s : workerArgs) {
-        argvC.push_back(s.data());
-      }
-      argvC.push_back(nullptr);
-      ::execv("/proc/self/exe", argvC.data());
-      std::fprintf(stderr, "nodebench shard: exec failed: %s\n",
-                   std::strerror(errno));
-      std::_Exit(127);
-    }
-    pids[i] = pid;
-    std::cerr << "nodebench shard: worker " << campaign::shardSpecText(spec)
-              << " (pid " << pid << ") -> " << journalPaths[i] << "\n";
-  }
-
-  bool interrupted = false;
-  bool failed = false;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    int status = 0;
-    if (::waitpid(pids[i], &status, 0) < 0) {
-      throw Error(std::string("waitpid failed: ") + std::strerror(errno));
-    }
-    const std::string name =
-        campaign::shardSpecText(campaign::ShardSpec{i, count});
-    if (WIFEXITED(status)) {
-      const int code = WEXITSTATUS(status);
-      if (code == 0) {
-        continue;
-      }
-      if (code == kInterruptedExitCode) {
-        std::cerr << "nodebench shard: worker " << name
-                  << " was interrupted (its journal is intact)\n";
-        interrupted = true;
-        continue;
-      }
-      std::cerr << "nodebench shard: worker " << name
-                << " failed with exit code " << code << "\n";
-      failed = true;
-    } else if (WIFSIGNALED(status)) {
-      std::cerr << "nodebench shard: worker " << name << " was killed by "
-                << "signal " << WTERMSIG(status)
-                << " (rerun with --resume to finish its slice)\n";
-      interrupted = true;
+    if (path && ::stat(path->c_str(), &st) == 0) {
+      throw Error("merge output already exists: " + *path +
+                  " (remove it first, or merge to a different path)");
     }
   }
-  if (failed) {
-    throw Error("one or more shard workers failed; see messages above");
+  const supervise::MergedFiles files = supervise::mergeShardFiles(
+      args, storePaths, *out, storeOut.value_or(""), gapOut.value_or(""), mopt,
+      "merge");
+  if (!files.merged.partial) {
+    return 0;
   }
-  if (interrupted) {
-    std::cerr << "nodebench shard: campaign incomplete; rerun the same "
-                 "command with --resume to finish, then merge\n";
-    return kInterruptedExitCode;
-  }
-  if (mergeOut) {
-    return runMerge(journalPaths, *mergeOut, storePaths, mergeStoreOut);
-  }
-  {
-    std::cout << "sharded campaign complete: " << count
-              << " journal(s) at " << *journalBase << ".shard*of" << count
-              << "; combine with `nodebench merge`\n";
-  }
-  return 0;
+  // Partial: a smaller table is never silent, and the exit code is
+  // distinct.
+  std::cerr << "nodebench merge: PARTIAL merge: "
+            << files.merged.missingCells.size() << " cell(s) from "
+            << files.merged.missingShards.size()
+            << " missing shard(s); gap manifest at " << files.gapPath << "\n";
+  return supervise::kPartialCampaignExitCode;
 }
 
 /// Stop flag for `nodebench supervise`: the signal handler only sets
@@ -1623,9 +1403,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "serve") {
       return cmdServe(std::move(args));
-    }
-    if (cmd == "shard") {
-      return cmdShard(std::move(args));
     }
     if (cmd == "merge") {
       return cmdMerge(std::move(args));

@@ -541,54 +541,72 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     return result;
   }
 
-  std::vector<campaign::ShardInput> inputs;
-  inputs.reserve(done.size());
+  std::vector<std::string> doneJournals;
+  std::vector<std::string> doneStores;
   for (const std::uint32_t shard : done) {
-    inputs.push_back(campaign::readShardInput(journalPaths[shard]));
+    doneJournals.push_back(journalPaths[shard]);
+    doneStores.push_back(storePaths[shard]);
   }
   campaign::MergeOptions mopt;
   mopt.allowPartial = !result.quarantined.empty();
   mopt.quarantined = result.quarantined;
-  const campaign::MergedCampaign merged =
-      campaign::mergeShardJournals(inputs, mopt);
-  campaign::io::atomicWrite(options.mergeOut, merged.journalBytes,
-                            "supervise merge");
-  std::cout << "merged " << inputs.size() << " shard journal(s) -> "
-            << options.mergeOut << "\n";
-
-  if (!options.mergeStoreOut.empty()) {
-    std::vector<stats::ShardStoreInput> stores;
-    stores.reserve(done.size());
-    for (const std::uint32_t shard : done) {
-      stores.push_back(stats::loadShardStoreInput(storePaths[shard]));
-    }
-    const std::vector<std::uint8_t> bytes =
-        stats::mergeShardStores(stores, merged);
-    campaign::io::atomicWrite(options.mergeStoreOut, bytes,
-                              "supervise merge");
-    std::cout << "merged " << stores.size() << " shard store(s) -> "
-              << options.mergeStoreOut << "\n";
+  const MergedFiles files =
+      mergeShardFiles(doneJournals, doneStores, options.mergeOut,
+                      options.mergeStoreOut, options.gapOut, mopt,
+                      "supervise merge");
+  if (files.merged.partial) {
+    std::cerr << "nodebench supervise: PARTIAL merge: "
+              << files.merged.missingCells.size() << " cell(s) from "
+              << files.merged.missingShards.size()
+              << " quarantined shard(s) are missing; gap manifest at "
+              << files.gapPath << "\n";
   }
 
+  return result;
+}
+
+MergedFiles mergeShardFiles(const std::vector<std::string>& journalPaths,
+                            const std::vector<std::string>& storePaths,
+                            const std::string& out, const std::string& storeOut,
+                            const std::string& gapOut,
+                            const campaign::MergeOptions& options,
+                            const char* what) {
+  std::vector<campaign::ShardInput> inputs;
+  inputs.reserve(journalPaths.size());
+  for (const std::string& path : journalPaths) {
+    inputs.push_back(campaign::readShardInput(path));
+  }
+  MergedFiles files;
+  files.merged = campaign::mergeShardJournals(inputs, options);
+  const campaign::MergedCampaign& merged = files.merged;
+  campaign::io::atomicWrite(out, merged.journalBytes, what);
+  std::cout << "merged " << inputs.size() << " shard journal(s) -> " << out
+            << " (" << merged.grid.size() - merged.missingCells.size()
+            << " cell record(s))\n";
+  if (!storeOut.empty()) {
+    std::vector<stats::ShardStoreInput> stores;
+    stores.reserve(storePaths.size());
+    for (const std::string& path : storePaths) {
+      stores.push_back(stats::loadShardStoreInput(path));
+    }
+    campaign::io::atomicWrite(storeOut, stats::mergeShardStores(stores, merged),
+                              what);
+    std::cout << "merged " << stores.size() << " shard store(s) -> "
+              << storeOut << "\n";
+  }
   if (merged.partial) {
-    const std::string gapPath = options.gapOut.empty()
-                                    ? options.mergeOut + ".gaps.json"
-                                    : options.gapOut;
+    // A smaller table is never silent: the gap manifest names every
+    // missing shard and cell.
+    files.gapPath = gapOut.empty() ? out + ".gaps.json" : gapOut;
     const std::string manifest = campaign::renderGapManifest(merged);
     campaign::io::atomicWrite(
-        gapPath,
+        files.gapPath,
         std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(manifest.data()),
             manifest.size()),
         "gap manifest");
-    std::cerr << "nodebench supervise: PARTIAL merge: "
-              << merged.missingCells.size() << " cell(s) from "
-              << merged.missingShards.size()
-              << " quarantined shard(s) are missing; gap manifest at "
-              << gapPath << "\n";
   }
-
-  return result;
+  return files;
 }
 
 }  // namespace nodebench::supervise

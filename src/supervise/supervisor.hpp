@@ -52,7 +52,7 @@ struct SuperviseOptions {
   std::string table;        ///< table selector ("4", "all", ...)
   std::uint32_t shards = 0;
   /// Concurrent worker slots (the bounded lease pool); 0 = one slot per
-  /// shard (full fan-out, the shard driver's behaviour).
+  /// shard (full fan-out).
   std::uint32_t workers = 0;
   std::string journalBase;  ///< workers journal to BASE.shard<i>of<N>
   std::string storeBase;    ///< optional shard stores
@@ -91,5 +91,20 @@ struct SuperviseResult {
 /// Error on configuration problems; worker failures are not exceptions,
 /// they are the job.
 [[nodiscard]] SuperviseResult runSupervise(const SuperviseOptions& options);
+
+/// The merge step `supervise --merge-out` and `nodebench merge` share:
+/// merges the shard journals (and, when `storeOut` is set, the shard
+/// stores) and atomically writes the merged artifacts, labelling I/O
+/// errors with `what`. A partial merge also writes the gap manifest to
+/// `gapOut` ("" = "<out>.gaps.json") and returns its path in `gapPath`.
+struct MergedFiles {
+  campaign::MergedCampaign merged;
+  std::string gapPath;
+};
+[[nodiscard]] MergedFiles mergeShardFiles(
+    const std::vector<std::string>& journalPaths,
+    const std::vector<std::string>& storePaths, const std::string& out,
+    const std::string& storeOut, const std::string& gapOut,
+    const campaign::MergeOptions& options, const char* what);
 
 }  // namespace nodebench::supervise

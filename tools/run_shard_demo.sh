@@ -3,14 +3,15 @@
 #
 #   tools/run_shard_demo.sh [build-dir] [table] [shards] [runs]
 #     build-dir  configured build tree (default: build)
-#     table      table selector for `nodebench shard` (default: 4)
-#     shards     worker-process count (default: 3)
+#     table      table selector for `nodebench supervise` (default: 4)
+#     shards     shard count, one worker process each (default: 3)
 #     runs       --runs per cell (default: 2)
 #
 # Exercises the full distributed-campaign loop:
-#  1. `nodebench shard` forks N workers, each measuring its deterministic
-#     slice into shard-suffixed journal + store files, then merges
-#     in-process (--merge-out / --merge-store-out).
+#  1. `nodebench supervise` runs N workers (one lease slot per shard),
+#     each measuring its deterministic slice into shard-suffixed journal
+#     + store files, then merges in-process (--merge-out /
+#     --merge-store-out).
 #  2. The merged journal and store must be byte-identical to an
 #     uninterrupted single-process `--jobs 1` run of the same campaign.
 #  3. `nodebench merge` re-merges the same worker files standalone and
@@ -40,8 +41,8 @@ echo "== reference: single-process 'table ${table}' at --jobs 1 =="
   > /dev/null
 
 echo
-echo "== nodebench shard: ${shards} workers, merged in-process =="
-"${nodebench}" shard "${table}" --shards "${shards}" --runs "${runs}" \
+echo "== nodebench supervise: ${shards} workers, merged in-process =="
+"${nodebench}" supervise "${table}" --shards "${shards}" --runs "${runs}" \
   --jobs 2 \
   --journal "${workdir}/c.journal" --store "${workdir}/c.store" \
   --merge-out "${workdir}/merged.journal" \

@@ -14,11 +14,12 @@
 #  - shard: distributed sharded campaigns (tests/shard/): the
 #    deterministic partition + manifest layer, the merged-bytes identity
 #    matrix across shard counts x --jobs x fault plans, the merge
-#    refusal contract, the CLI driver/merge chain, and the worker
+#    refusal contract, the CLI supervise/merge chain, and the worker
 #    kill-resume-merge run against the real binary
 #    (tools/run_shard_demo.sh).
 #  - fuzz: deterministic corpus + seeded-mutation replay of the
-#    fault-plan JSON, journal, results-store, and shard-merge decoders
+#    fault-plan JSON, journal, results-store, supervisor-journal and
+#    shard-merge decoders
 #    (tests/fuzz/).
 #  - stats: the statistics engine + results store + regression gate
 #    (unit suites, the CLI gate chain, and the two-store compare demo
