@@ -3,7 +3,7 @@
 /// libFuzzer run.
 ///
 /// ctest cannot assume a clang fuzzer runtime, so this gtest binary
-/// replays the checked-in corpus and then drives both fuzz targets with
+/// replays the checked-in corpus and then drives every fuzz target with
 /// a fixed budget of seeded mutations (bit flips, truncations, byte
 /// splices) derived from the corpus plus programmatically-built valid
 /// journals. The acceptance bar is the fuzz contract: every input either
@@ -27,6 +27,7 @@
 #include "machines/machine_json.hpp"
 #include "machines/registry.hpp"
 #include "stats/store.hpp"
+#include "supervise/journal.hpp"
 
 #ifndef NODEBENCH_FUZZ_CORPUS_DIR
 #error "build system must define NODEBENCH_FUZZ_CORPUS_DIR"
@@ -126,6 +127,34 @@ Bytes validStoreSeed() {
   lat.summary = summarize(lat.samples);
   const Bytes r2 = stats::ResultStore::encodeRecord(lat);
   bytes.insert(bytes.end(), r2.begin(), r2.end());
+  return bytes;
+}
+
+/// A well-formed supervisor journal holding one event of each kind, so
+/// mutations reach the kind range check, the shard bound and the detail
+/// string rather than dying at the magic.
+Bytes validSupervisorJournalSeed() {
+  supervise::SupervisorConfig cfg;
+  cfg.campaign.registryHash = 0x1122334455667788ull;
+  cfg.campaign.seed = 42;
+  cfg.campaign.runs = 100;
+  cfg.campaign.jobs = 8;
+  cfg.shards = 4;
+  cfg.maxAttempts = 3;
+  cfg.backoffBaseMs = 250;
+  cfg.backoffCapMs = 5000;
+  Bytes bytes = supervise::SupervisorJournal::encodeHeader(cfg);
+  using supervise::EventKind;
+  const std::vector<supervise::SupervisorEvent> events = {
+      {EventKind::AttemptStarted, 1, 1, 31337, ""},
+      {EventKind::AttemptFailed, 1, 1, 0, "heartbeat silent for 3000 ms"},
+      {EventKind::ShardDone, 0, 1, 0, ""},
+      {EventKind::ShardPoisoned, 3, 3, 0, "exit code 1"},
+  };
+  for (const supervise::SupervisorEvent& e : events) {
+    const Bytes frame = supervise::SupervisorJournal::encodeEvent(e);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
   return bytes;
 }
 
@@ -264,6 +293,12 @@ TEST(FuzzSmoke, StoreCorpusAndTenThousandMutations) {
   drive(&runStoreOneInput, seeds, 0x6e62727335f67a31ull, 10'000);
 }
 
+TEST(FuzzSmoke, SupervisorJournalCorpusAndTenThousandMutations) {
+  std::vector<Bytes> seeds = readCorpus("supervisor_journal");
+  seeds.push_back(validSupervisorJournalSeed());
+  drive(&runSupervisorJournalOneInput, seeds, 0x6e6273765f667a31ull, 10'000);
+}
+
 TEST(FuzzSmoke, MergeCorpusAndTenThousandMutations) {
   std::vector<Bytes> seeds = readCorpus("merge");
   seeds.push_back(validMergeSeed());
@@ -286,15 +321,21 @@ TEST(FuzzSmoke, MachineJsonCorpusAndTenThousandMutations) {
 }
 
 /// Cross-pollination: each format's bytes into the other decoders.
-/// Cheap, and catches "assumed the other format's framing" bugs —
-/// journal and store share their CRC framing but not their magic or
-/// payload schema, so each must cleanly reject the other.
+/// Cheap, and catches "assumed the other format's framing" bugs — the
+/// journal, store and supervisor journal share their CRC framing but not
+/// their magic or payload schema, so each must cleanly reject the others.
 TEST(FuzzSmoke, CrossFormatInputsAreRejectedGracefully) {
   const Bytes journal = validJournalSeed();
   const Bytes store = validStoreSeed();
+  const Bytes supervisor = validSupervisorJournalSeed();
   EXPECT_EQ(runJsonOneInput(journal.data(), journal.size()), 0);
   EXPECT_EQ(runStoreOneInput(journal.data(), journal.size()), 0);
   EXPECT_EQ(runJournalOneInput(store.data(), store.size()), 0);
+  EXPECT_EQ(runSupervisorJournalOneInput(journal.data(), journal.size()), 0);
+  EXPECT_EQ(runSupervisorJournalOneInput(store.data(), store.size()), 0);
+  EXPECT_EQ(runJournalOneInput(supervisor.data(), supervisor.size()), 0);
+  EXPECT_EQ(runStoreOneInput(supervisor.data(), supervisor.size()), 0);
+  EXPECT_EQ(runMergeOneInput(supervisor.data(), supervisor.size()), 0);
   EXPECT_EQ(runJsonOneInput(store.data(), store.size()), 0);
   EXPECT_EQ(runServeOneInput(journal.data(), journal.size()), 0);
   EXPECT_EQ(runServeOneInput(store.data(), store.size()), 0);
@@ -308,6 +349,7 @@ TEST(FuzzSmoke, CrossFormatInputsAreRejectedGracefully) {
   for (const Bytes& doc : readCorpus("json")) {
     EXPECT_EQ(runJournalOneInput(doc.data(), doc.size()), 0);
     EXPECT_EQ(runStoreOneInput(doc.data(), doc.size()), 0);
+    EXPECT_EQ(runSupervisorJournalOneInput(doc.data(), doc.size()), 0);
     // Fault-plan documents are also near-miss serve requests (a serve
     // spec embeds a plan under "fault_plan"), a good confusion corpus.
     EXPECT_EQ(runServeOneInput(doc.data(), doc.size()), 0);
