@@ -4,9 +4,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/json_value.hpp"
 #include "core/rng.hpp"
 #include "core/strings.hpp"
-#include "faults/json_value.hpp"
 #include "topo/topology.hpp"
 
 namespace nodebench::faults {

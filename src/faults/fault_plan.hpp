@@ -42,8 +42,6 @@ class JsonValue;
 
 namespace nodebench::faults {
 
-using nodebench::JsonValue;
-
 enum class FaultType {
   LinkKill,      ///< Matching node links go down (routes re-resolve or fail).
   LinkDegrade,   ///< Matching links lose bandwidth / gain latency.

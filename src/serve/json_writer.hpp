@@ -14,7 +14,7 @@
 ///    quote and backslash so no payload can break the framing.
 ///
 /// This is a writer only — the daemon parses requests with the
-/// faults::JsonValue reader, keeping one parser in the tree.
+/// nodebench::JsonValue reader, keeping one parser in the tree.
 
 #include <cstdint>
 #include <string>

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "core/error.hpp"
-#include "faults/json_value.hpp"
+#include "core/json_value.hpp"
 #include "trace/sink.hpp"
 
 namespace nodebench::trace {
@@ -129,7 +129,7 @@ TEST(Trace, ChromeJsonIsParseableAndComplete) {
     scope.buffer()->event(makeEvent(Category::Recv, 1, 1.5, 0.25));
   }
   const std::string doc = chromeJson(session);
-  const auto parsed = faults::JsonValue::parse(doc);  // throws if invalid
+  const auto parsed = nodebench::JsonValue::parse(doc);  // throws if invalid
   const auto* events = parsed.find("traceEvents");
   ASSERT_NE(events, nullptr);
   // 2 metadata records (process_name + one thread_name per actor... the
@@ -153,7 +153,7 @@ TEST(Trace, ChromeJsonIsParseableAndComplete) {
 TEST(Trace, ChromeJsonEmptySessionIsValid) {
   Session session;
   const std::string doc = chromeJson(session);
-  const auto parsed = faults::JsonValue::parse(doc);
+  const auto parsed = nodebench::JsonValue::parse(doc);
   ASSERT_NE(parsed.find("traceEvents"), nullptr);
   EXPECT_TRUE(parsed.find("traceEvents")->asArray().empty());
 }
