@@ -17,6 +17,55 @@ namespace nodebench::campaign {
 
 namespace {
 
+enum class FrameFault { None, Incomplete, TooLong, PastEnd, BadChecksum };
+
+struct Frame {
+  FrameFault fault = FrameFault::None;
+  std::uint32_t length = 0;               ///< As read, even when faulty.
+  std::span<const std::uint8_t> payload;  ///< Empty unless fault == None.
+};
+
+/// Walks the frames of a file image without copying: payloads are spans
+/// into the caller's bytes.
+class FrameCursor {
+ public:
+  FrameCursor(std::span<const std::uint8_t> bytes, std::size_t pos,
+              std::uint32_t maxFrameBytes)
+      : bytes_(bytes), pos_(pos), maxFrameBytes_(maxFrameBytes) {}
+
+  [[nodiscard]] bool done() const { return pos_ >= bytes_.size(); }
+  [[nodiscard]] std::size_t pos() const { return pos_; }
+  /// Reads the frame at the cursor, advancing past it only when valid.
+  [[nodiscard]] Frame next();
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_;
+  std::uint32_t maxFrameBytes_;
+};
+
+Frame FrameCursor::next() {
+  Frame f;
+  if (bytes_.size() - pos_ < 8) {
+    f.fault = FrameFault::Incomplete;
+    return f;
+  }
+  PayloadReader prefix(bytes_.subspan(pos_, 8));
+  f.length = prefix.u32();
+  const std::uint32_t crc = prefix.u32();
+  if (f.length > maxFrameBytes_) {
+    f.fault = FrameFault::TooLong;
+  } else if (bytes_.size() - pos_ - 8 < f.length) {
+    f.fault = FrameFault::PastEnd;
+  } else if (crc32(bytes_.subspan(pos_ + 8, f.length)) != crc) {
+    f.fault = FrameFault::BadChecksum;
+  } else {
+    f.payload = bytes_.subspan(pos_ + 8, f.length);
+    pos_ += 8 + f.length;
+  }
+  return f;
+}
+
 /// Throws through the format's error type; the trailing throw only
 /// satisfies [[noreturn]] (every RaiseFn throws).
 [[noreturn]] void fail(const FramedFormat& format, const std::string& what) {
@@ -61,28 +110,6 @@ std::vector<std::uint8_t> encodeFramedHeader(
   const auto framed = frame(payload);
   out.insert(out.end(), framed.begin(), framed.end());
   return out;
-}
-
-Frame FrameCursor::next() {
-  Frame f;
-  if (bytes_.size() - pos_ < 8) {
-    f.fault = FrameFault::Incomplete;
-    return f;
-  }
-  PayloadReader prefix(bytes_.subspan(pos_, 8));
-  f.length = prefix.u32();
-  const std::uint32_t crc = prefix.u32();
-  if (f.length > maxFrameBytes_) {
-    f.fault = FrameFault::TooLong;
-  } else if (bytes_.size() - pos_ - 8 < f.length) {
-    f.fault = FrameFault::PastEnd;
-  } else if (crc32(bytes_.subspan(pos_ + 8, f.length)) != crc) {
-    f.fault = FrameFault::BadChecksum;
-  } else {
-    f.payload = bytes_.subspan(pos_ + 8, f.length);
-    pos_ += 8 + f.length;
-  }
-  return f;
 }
 
 std::size_t decodeFramed(const FramedFormat& format,

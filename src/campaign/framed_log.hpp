@@ -68,33 +68,6 @@ struct FramedFormat {
 [[nodiscard]] std::vector<std::uint8_t> frame(
     std::span<const std::uint8_t> payload);
 
-enum class FrameFault { None, Incomplete, TooLong, PastEnd, BadChecksum };
-
-struct Frame {
-  FrameFault fault = FrameFault::None;
-  std::uint32_t length = 0;               ///< As read, even when faulty.
-  std::span<const std::uint8_t> payload;  ///< Empty unless fault == None.
-};
-
-/// Walks the frames of a file image without copying: payloads are spans
-/// into the caller's bytes.
-class FrameCursor {
- public:
-  FrameCursor(std::span<const std::uint8_t> bytes, std::size_t pos,
-              std::uint32_t maxFrameBytes)
-      : bytes_(bytes), pos_(pos), maxFrameBytes_(maxFrameBytes) {}
-
-  [[nodiscard]] bool done() const { return pos_ >= bytes_.size(); }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  /// Reads the frame at the cursor, advancing past it only when valid.
-  [[nodiscard]] Frame next();
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_;
-  std::uint32_t maxFrameBytes_;
-};
-
 using PayloadFn = std::function<void(std::span<const std::uint8_t>)>;
 
 /// Decodes a file image under `format`'s policy, handing the header

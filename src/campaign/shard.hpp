@@ -5,8 +5,8 @@
 ///
 /// A campaign is a (machine x cell) grid; `--shard i/N` assigns shard `i`
 /// a deterministic contiguous slice of every table's grid so N worker
-/// *processes* (the `nodebench shard` driver, or hand-launched workers on
-/// different hosts) can split one campaign. Each shard writes its own
+/// *processes* (the `nodebench supervise` driver, or hand-launched workers
+/// on different hosts) can split one campaign. Each shard writes its own
 /// journal + results store whose headers carry the shard spec in the
 /// configuration fingerprint, and records a **shard manifest** per table
 /// — the ordered cell grid plus this shard's assigned range — because the
@@ -239,8 +239,8 @@ struct MergedCampaign {
 [[nodiscard]] std::string renderGapManifest(const MergedCampaign& merged);
 
 /// The conventional worker journal/store path of shard i of N:
-/// "<base>.shard<i>of<N>" — what the `nodebench shard` driver passes its
-/// workers and what the demo scripts glob for.
+/// "<base>.shard<i>of<N>" — what `nodebench supervise` passes its workers
+/// and what the demo scripts glob for.
 [[nodiscard]] std::string shardPath(const std::string& base,
                                     const ShardSpec& spec);
 

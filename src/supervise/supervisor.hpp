@@ -3,11 +3,12 @@
 /// \brief `nodebench supervise` — the fault-tolerant lease-based
 /// campaign coordinator.
 ///
-/// Replaces the `shard` driver's fork-and-pray model (launch N workers,
-/// wait, hope) with a worker-pull protocol: shard leases live in a
-/// bounded slot pool, workers are launched as slots free up, each worker
-/// heartbeats through the file contract (heartbeat.hpp) and journals its
-/// slice exactly as PR 8's shard workers do. The supervisor:
+/// The one multi-process campaign driver. Instead of a fork-and-wait
+/// loop (launch N workers, wait, hope) it runs a worker-pull protocol:
+/// shard leases live in a bounded slot pool, workers are launched as
+/// slots free up, each worker heartbeats through the file contract
+/// (heartbeat.hpp) and journals its slice as any `table --shard i/N` run
+/// does. The supervisor:
 ///
 ///  - expires a lease when the worker dies, misses heartbeats, or
 ///    exceeds the attempt wall-clock budget, and reassigns the shard
