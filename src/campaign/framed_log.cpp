@@ -73,7 +73,7 @@ Frame FrameCursor::next() {
   throw Error(what);
 }
 
-/// The shared tail of every frame diagnostic: "<unit> <faultText>".
+/// What is wrong with a faulty frame, as every frame diagnostic ends.
 std::string faultText(const Frame& f, std::uint32_t maxFrameBytes) {
   switch (f.fault) {
     case FrameFault::Incomplete:
