@@ -401,6 +401,19 @@ TraceRequest traceRequest(std::vector<std::string>& args) {
   return req;
 }
 
+/// Writes the session's Chrome trace JSON to `path`; throws on an open or
+/// write failure.
+void writeTraceFile(const trace::Session& session, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    throw Error("cannot open trace output file: " + path);
+  }
+  out << trace::chromeJson(session);
+  if (!out) {
+    throw Error("failed writing trace output file: " + path);
+  }
+}
+
 /// Exports the session once every recording scope has closed: writes the
 /// Chrome trace file (if requested) and prints the metrics appendix (if
 /// requested). No-op without a session.
@@ -409,14 +422,7 @@ void finishTrace(const TraceRequest& req) {
     return;
   }
   if (!req.outPath.empty()) {
-    std::ofstream out(req.outPath, std::ios::binary);
-    if (!out) {
-      throw Error("cannot open trace output file: " + req.outPath);
-    }
-    out << trace::chromeJson(*req.session);
-    if (!out) {
-      throw Error("failed writing trace output file: " + req.outPath);
-    }
+    writeTraceFile(*req.session, req.outPath);
     std::cout << "wrote " << req.outPath << "\n";
   }
   if (req.metrics) {
@@ -955,14 +961,7 @@ int cmdTrace(std::vector<std::string> args) {
         static_cast<unsigned long long>(inter.retransmits));
   }
 
-  std::ofstream out(outPath, std::ios::binary);
-  if (!out) {
-    throw Error("cannot open trace output file: " + outPath);
-  }
-  out << trace::chromeJson(session);
-  if (!out) {
-    throw Error("failed writing trace output file: " + outPath);
-  }
+  writeTraceFile(session, outPath);
   std::cout << "wrote " << outPath
             << " (open in Perfetto: https://ui.perfetto.dev)\n";
   std::cout << trace::metricsSummary(session);

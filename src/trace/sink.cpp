@@ -1,8 +1,12 @@
 #include "trace/sink.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <map>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/table.hpp"
 
@@ -10,171 +14,230 @@ namespace nodebench::trace {
 
 namespace {
 
-/// Minimal JSON string escape — scope labels and counter names only ever
-/// carry printable ASCII, but quotes/backslashes must never corrupt the
-/// document.
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+constexpr std::string_view kHeader = "{\"traceEvents\":[\n";
+constexpr std::string_view kTail = "],\"displayTimeUnit\":\"ms\"}\n";
+
+/// Longest `%.3f` text of a double: sign, 309 integer digits, point and
+/// three decimals (inf and nan are shorter).
+constexpr std::size_t kMaxFixed3 = 1 + 309 + 1 + 3;
+
+/// Longest record: two such numbers plus the fixed text, names and
+/// integers around them.
+constexpr std::size_t kMaxRecord = 2 * kMaxFixed3 + 256;
+
+/// Bytes reserved per event; real slices average a little over 110, and
+/// a longer trace just grows the buffer as usual.
+constexpr std::size_t kReservePerEvent = 128;
+
+/// One actor lane of a scope: a Chrome thread.
+using Lane = std::pair<ActorKind, int>;
+
+char* put(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+/// Decimal integer; room for any 64-bit value and its sign.
+template <typename Int>
+char* putInt(char* p, Int v) {
+  return std::to_chars(p, p + 24, v).ptr;
+}
+
+/// Microseconds with fixed sub-ns resolution — the `%.3f` convention the
+/// mpisim timeline tracer uses. `std::to_chars` with fixed precision is
+/// specified to print exactly what `printf("%.3f")` prints.
+char* putUs(char* p, Duration d) {
+  return std::to_chars(p, p + kMaxFixed3, d.us(), std::chars_format::fixed, 3)
+      .ptr;
+}
+
+/// Appends `s` as the body of a JSON string. Scope labels only ever carry
+/// printable ASCII, but quotes/backslashes must never corrupt the
+/// document; control characters become `\u00XX`.
+void appendEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
     if (c == '"' || c == '\\') {
       out += '\\';
       out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
     } else {
       out += c;
     }
   }
-  return out;
 }
 
-/// Microseconds with fixed sub-ns resolution — the same %.3f convention
-/// the mpisim timeline tracer uses, so outputs are byte-stable.
-std::string us3(Duration d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", d.us());
-  return buf;
+/// Appends one scope's records — its process name, one thread name per
+/// lane and one "X" slice per event — each followed by ",\n".
+void appendScope(std::string& out, const TraceBuffer& buffer, int pid) {
+  char rec[kMaxRecord];
+  char pidBuf[24];
+  const std::string_view pidText(
+      pidBuf, static_cast<std::size_t>(putInt(pidBuf, pid) - pidBuf));
+
+  out += R"({"name":"process_name","ph":"M","pid":)";
+  out += pidText;
+  out += R"(,"args":{"name":")";
+  appendEscaped(out, buffer.label());
+  out += "\"}},\n";
+
+  // Tids follow sorted lane order, so they are deterministic regardless
+  // of event order.
+  std::vector<Lane> lanes;
+  for (const Event& e : buffer.events()) {
+    const Lane lane{e.actorKind, e.actor};
+    if (lanes.empty() || lanes.back() != lane) {
+      lanes.push_back(lane);
+    }
+  }
+  std::sort(lanes.begin(), lanes.end());
+  lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
+  for (std::size_t tid = 0; tid < lanes.size(); ++tid) {
+    char* p = put(rec, R"({"name":"thread_name","ph":"M","pid":)");
+    p = put(p, pidText);
+    p = put(p, R"(,"tid":)");
+    p = putInt(p, tid);
+    p = put(p, R"(,"args":{"name":")");
+    p = put(p, actorKindName(lanes[tid].first));  // never needs escaping
+    *p++ = ' ';
+    p = putInt(p, lanes[tid].second);
+    p = put(p, "\"}},\n");
+    out.append(rec, static_cast<std::size_t>(p - rec));
+  }
+
+  // The text between an event's name and its timestamp depends only on
+  // its lane, so it is built once per run of same-lane events.
+  std::string laneText;
+  Lane current{};
+  for (const Event& e : buffer.events()) {
+    const Lane lane{e.actorKind, e.actor};
+    if (laneText.empty() || lane != current) {
+      current = lane;
+      const auto tid =
+          std::lower_bound(lanes.begin(), lanes.end(), lane) - lanes.begin();
+      char* p = put(rec, R"(","cat":")");
+      p = put(p, actorKindName(lane.first));
+      p = put(p, R"(","ph":"X","pid":)");
+      p = put(p, pidText);
+      p = put(p, R"(,"tid":)");
+      p = putInt(p, tid);
+      p = put(p, R"(,"ts":)");
+      laneText.assign(rec, static_cast<std::size_t>(p - rec));
+    }
+    char* p = put(rec, R"({"name":")");
+    p = put(p, categoryName(e.category));
+    p = put(p, laneText);
+    p = putUs(p, e.begin);
+    p = put(p, R"(,"dur":)");
+    p = putUs(p, e.duration);
+    p = put(p, R"(,"args":{"peer":)");
+    p = putInt(p, e.peer);
+    p = put(p, R"(,"bytes":)");
+    p = putInt(p, e.bytes);
+    p = put(p, "}},\n");
+    out.append(rec, static_cast<std::size_t>(p - rec));
+  }
 }
 
-/// Display name of an event's actor lane ("rank 0", "device 2", ...).
-std::string actorLabel(ActorKind kind, int actor) {
-  return std::string(actorKindName(kind)) + " " + std::to_string(actor);
+/// A bucket-resolution quantile, marked "~". (Appending rather than
+/// `"~" + s` also keeps GCC 12's false -Wrestrict quiet at -O3.)
+std::string approx(double v) {
+  std::string s = "~";
+  s += formatFixed(v, 3);
+  return s;
+}
+
+using Rows = std::vector<std::vector<std::string>>;
+
+/// Appends a titled ASCII table of `rows` to `doc`; nothing when empty.
+void appendTable(std::string& doc, std::vector<std::string> headers,
+                 std::string title, Rows rows) {
+  if (rows.empty()) {
+    return;
+  }
+  Table t(std::move(headers));
+  t.setTitle(std::move(title));
+  for (auto& row : rows) {
+    t.addRow(std::move(row));
+  }
+  doc += '\n' + t.renderAscii();
 }
 
 }  // namespace
 
-void ChromeJsonSink::scope(const TraceBuffer& buffer) {
-  const int pid = nextPid_++;
-  const std::string pidStr = std::to_string(pid);
-  const auto metaEvent = [&](const std::string& name, const std::string& tid,
-                             const std::string& value) {
-    out_ += "{\"name\":\"" + name + "\",\"ph\":\"M\",\"pid\":" + pidStr +
-            tid + ",\"args\":{\"name\":\"" + jsonEscape(value) + "\"}},\n";
-  };
-  metaEvent("process_name", "", buffer.label());
-
-  // One Chrome thread per (actorKind, actor) lane, numbered in sorted
-  // order so tids are deterministic regardless of event order.
-  std::map<std::pair<ActorKind, int>, int> tids;
-  for (const Event& e : buffer.events()) {
-    tids.emplace(std::pair{e.actorKind, e.actor}, 0);
-  }
-  int nextTid = 0;
-  for (auto& [key, tid] : tids) {
-    tid = nextTid++;
-    metaEvent("thread_name", ",\"tid\":" + std::to_string(tid),
-              actorLabel(key.first, key.second));
-  }
-
-  for (const Event& e : buffer.events()) {
-    out_ += "{\"name\":\"" + std::string(categoryName(e.category)) +
-            "\",\"cat\":\"" + std::string(actorKindName(e.actorKind)) +
-            "\",\"ph\":\"X\",\"pid\":" + pidStr + ",\"tid\":" +
-            std::to_string(tids.at({e.actorKind, e.actor})) +
-            ",\"ts\":" + us3(e.begin) + ",\"dur\":" + us3(e.duration) +
-            ",\"args\":{\"peer\":" + std::to_string(e.peer) +
-            ",\"bytes\":" + std::to_string(e.bytes) + "}},\n";
-  }
-}
-
-std::string ChromeJsonSink::finish() {
-  std::string doc = "{\"traceEvents\":[\n";
-  if (!out_.empty()) {
-    out_.pop_back();  // trailing newline
-    out_.pop_back();  // trailing comma
-    doc += out_;
-    doc += '\n';
-  }
-  doc += "],\"displayTimeUnit\":\"ms\"}\n";
-  out_.clear();
-  nextPid_ = 0;
-  return doc;
-}
-
-void MetricsSink::scope(const TraceBuffer& buffer) {
-  const std::string scopeName =
-      buffer.occurrence() == 0
-          ? buffer.label()
-          : buffer.label() + " #" + std::to_string(buffer.occurrence() + 1);
-
-  // Per-category totals, in Category declaration order.
-  std::map<Category, std::pair<std::uint64_t, Duration>> byCategory;
-  for (const Event& e : buffer.events()) {
-    auto& [n, busy] = byCategory[e.category];
-    ++n;
-    busy = busy + e.duration;
-  }
-  for (const auto& [category, total] : byCategory) {
-    eventRows_.push_back({scopeName, std::string(categoryName(category)),
-                          std::to_string(total.first),
-                          formatFixed(total.second.us(), 3)});
-  }
-  for (const auto& [name, value] : buffer.counters()) {
-    counterRows_.push_back({scopeName, name, std::to_string(value)});
-  }
-  for (const auto& [name, h] : buffer.histograms()) {
-    histogramRows_.push_back(
-        {scopeName, name, std::to_string(h.count()), formatFixed(h.min(), 3),
-         formatFixed(h.mean(), 3), "~" + formatFixed(h.quantile(0.5), 3),
-         "~" + formatFixed(h.quantile(0.99), 3), formatFixed(h.max(), 3)});
-  }
-}
-
-std::string MetricsSink::finish() {
-  std::string doc = "\nTrace metrics appendix\n";
-  if (!eventRows_.empty()) {
-    Table t({"Scope", "Category", "Events", "Busy (us)"});
-    t.setTitle("Events by scope and category");
-    for (auto& row : eventRows_) {
-      t.addRow(std::move(row));
-    }
-    doc += '\n' + t.renderAscii();
-  }
-  if (!counterRows_.empty()) {
-    Table t({"Scope", "Counter", "Value"});
-    t.setTitle("Counters");
-    for (auto& row : counterRows_) {
-      t.addRow(std::move(row));
-    }
-    doc += '\n' + t.renderAscii();
-  }
-  if (!histogramRows_.empty()) {
-    Table t({"Scope", "Histogram", "Count", "Min", "Mean", "P50", "P99",
-             "Max"});
-    t.setTitle("Histograms (quantiles are bucket approximations)");
-    for (auto& row : histogramRows_) {
-      t.addRow(std::move(row));
-    }
-    doc += '\n' + t.renderAscii();
-  }
-  if (eventRows_.empty() && counterRows_.empty() && histogramRows_.empty()) {
-    doc += "(nothing recorded)\n";
-  }
-  eventRows_.clear();
-  counterRows_.clear();
-  histogramRows_.clear();
-  return doc;
-}
-
-void exportSession(const Session& session, TraceSink& sink) {
-  for (const TraceBuffer* buffer : session.ordered()) {
-    sink.scope(*buffer);
-  }
-}
-
 std::string chromeJson(const Session& session) {
-  ChromeJsonSink sink;
-  exportSession(session, sink);
-  return sink.finish();
+  const std::vector<const TraceBuffer*> buffers = session.ordered();
+  std::size_t events = 0;
+  for (const TraceBuffer* buffer : buffers) {
+    events += buffer->events().size();
+  }
+  std::string out;
+  out.reserve(kHeader.size() + kTail.size() + buffers.size() * kMaxRecord +
+              events * kReservePerEvent);
+  out += kHeader;
+  int pid = 0;
+  for (const TraceBuffer* buffer : buffers) {
+    appendScope(out, *buffer, pid++);
+  }
+  if (out.size() > kHeader.size()) {
+    out.resize(out.size() - 2);  // the last record's ",\n"
+    out += '\n';
+  }
+  out += kTail;
+  return out;
 }
 
 std::string metricsSummary(const Session& session) {
-  MetricsSink sink;
-  exportSession(session, sink);
-  return sink.finish();
+  Rows eventRows;
+  Rows counterRows;
+  Rows histogramRows;
+  for (const TraceBuffer* buffer : session.ordered()) {
+    const std::string scopeName =
+        buffer->occurrence() == 0
+            ? buffer->label()
+            : buffer->label() + " #" + std::to_string(buffer->occurrence() + 1);
+
+    // Per-category totals, in Category declaration order.
+    std::map<Category, std::pair<std::uint64_t, Duration>> byCategory;
+    for (const Event& e : buffer->events()) {
+      auto& [n, busy] = byCategory[e.category];
+      ++n;
+      busy = busy + e.duration;
+    }
+    for (const auto& [category, total] : byCategory) {
+      eventRows.push_back({scopeName, std::string(categoryName(category)),
+                           std::to_string(total.first),
+                           formatFixed(total.second.us(), 3)});
+    }
+    for (const auto& [name, value] : buffer->counters()) {
+      counterRows.push_back({scopeName, name, std::to_string(value)});
+    }
+    for (const auto& [name, h] : buffer->histograms()) {
+      histogramRows.push_back(
+          {scopeName, name, std::to_string(h.count()), formatFixed(h.min(), 3),
+           formatFixed(h.mean(), 3), approx(h.quantile(0.5)),
+           approx(h.quantile(0.99)), formatFixed(h.max(), 3)});
+    }
+  }
+
+  std::string doc = "\nTrace metrics appendix\n";
+  if (eventRows.empty() && counterRows.empty() && histogramRows.empty()) {
+    return doc + "(nothing recorded)\n";
+  }
+  appendTable(doc, {"Scope", "Category", "Events", "Busy (us)"},
+              "Events by scope and category", std::move(eventRows));
+  appendTable(doc, {"Scope", "Counter", "Value"}, "Counters",
+              std::move(counterRows));
+  appendTable(doc,
+              {"Scope", "Histogram", "Count", "Min", "Mean", "P50", "P99",
+               "Max"},
+              "Histograms (quantiles are bucket approximations)",
+              std::move(histogramRows));
+  return doc;
 }
 
 }  // namespace nodebench::trace

@@ -5,7 +5,7 @@
 /// (counters, per-category event totals, latency histograms) rendered
 /// with core::Table for the report appendix.
 ///
-/// A sink visits the session's scope buffers in deterministic (label,
+/// Both walk the session's scope buffers in deterministic (label,
 /// occurrence) order — see `Session::ordered()` — so every export is
 /// byte-identical across `--jobs` values and across runs.
 
@@ -15,56 +15,18 @@
 
 namespace nodebench::trace {
 
-/// Visitor over a session's scopes. `exportSession` drives it in
-/// deterministic order; `finish()` returns the rendered document.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// Called once per scope buffer, in (label, occurrence) order.
-  virtual void scope(const TraceBuffer& buffer) = 0;
-
-  /// Completes the export and returns the document.
-  [[nodiscard]] virtual std::string finish() = 0;
-};
-
-/// Chrome `trace_event` JSON: one process per scope (named by its label
-/// via "process_name" metadata), one thread per actor ("rank 0",
-/// "gpu 1", "link 3", "node 0"), events as complete ("X") slices with
-/// microsecond timestamps and {peer, bytes} args.
-class ChromeJsonSink final : public TraceSink {
- public:
-  void scope(const TraceBuffer& buffer) override;
-  [[nodiscard]] std::string finish() override;
-
- private:
-  std::string out_;
-  int nextPid_ = 0;
-};
-
-/// Aggregated per-benchmark metrics: per-scope event counts and busy
-/// time by category, named counters, and histogram summaries (count,
-/// min, mean, ~p50, ~p99, max). Scopes with nothing recorded are
-/// omitted, so a table stays readable.
-class MetricsSink final : public TraceSink {
- public:
-  void scope(const TraceBuffer& buffer) override;
-  [[nodiscard]] std::string finish() override;
-
- private:
-  std::vector<std::vector<std::string>> eventRows_;
-  std::vector<std::vector<std::string>> counterRows_;
-  std::vector<std::vector<std::string>> histogramRows_;
-};
-
-/// Runs `sink` over every closed scope of `session` in deterministic
-/// order (the sink's `finish()` is left to the caller).
-void exportSession(const Session& session, TraceSink& sink);
-
-/// Convenience: full Chrome trace JSON document for the session.
+/// Full Chrome `trace_event` JSON document for the session: one process
+/// per scope (named by its label via "process_name" metadata), one thread
+/// per actor lane ("rank 0", "device 1", "link 3", "node 0"), numbered in
+/// sorted lane order, and events as complete ("X") slices with `%.3f`
+/// microsecond timestamps and {peer, bytes} args. Written in one pass
+/// into one buffer.
 [[nodiscard]] std::string chromeJson(const Session& session);
 
-/// Convenience: metrics-appendix text for the session.
+/// Metrics-appendix text for the session: per-scope event counts and busy
+/// time by category, named counters, and histogram summaries (count, min,
+/// mean, ~p50, ~p99, max). Scopes with nothing recorded are omitted, so a
+/// table stays readable.
 [[nodiscard]] std::string metricsSummary(const Session& session);
 
 }  // namespace nodebench::trace
