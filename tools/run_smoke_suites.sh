@@ -8,6 +8,10 @@
 #    per-cell tolerances (tests/conformance/paper_values_test.cpp).
 #  - faults: fault-plan parsing/application, retransmit + watchdog
 #    behaviour, n/a-cell degradation, and the CLI fault demos.
+#  - trace: the tracing layer (tests/trace/): scope semantics, event
+#    invariants, --jobs byte-identity of both exports, the golden Chrome
+#    JSON + metrics-appendix text, and the differential check of the
+#    exported microsecond numbers against printf("%.3f").
 #  - campaign: crash-safe journal format, torn-write recovery,
 #    kill-and-resume byte-identity (incl. the crash-injection run against
 #    the real binary, tools/run_crash_suite.sh).
@@ -67,6 +71,10 @@ ctest --test-dir "${build_dir}" -L conformance --output-on-failure
 echo
 echo "== faults suite (resilience harness) =="
 ctest --test-dir "${build_dir}" -L faults --output-on-failure
+
+echo
+echo "== trace suite (Chrome JSON golden bytes, determinism, invariants) =="
+ctest --test-dir "${build_dir}" -L trace --output-on-failure
 
 echo
 echo "== campaign suite (crash-safe journal + resume) =="
