@@ -143,14 +143,6 @@ void appendScope(std::string& out, const TraceBuffer& buffer, int pid) {
   }
 }
 
-/// A bucket-resolution quantile, marked "~". (Appending rather than
-/// `"~" + s` also keeps GCC 12's false -Wrestrict quiet at -O3.)
-std::string approx(double v) {
-  std::string s = "~";
-  s += formatFixed(v, 3);
-  return s;
-}
-
 using Rows = std::vector<std::vector<std::string>>;
 
 /// Appends a titled ASCII table of `rows` to `doc`; nothing when empty.
@@ -219,8 +211,8 @@ std::string metricsSummary(const Session& session) {
     for (const auto& [name, h] : buffer->histograms()) {
       histogramRows.push_back(
           {scopeName, name, std::to_string(h.count()), formatFixed(h.min(), 3),
-           formatFixed(h.mean(), 3), approx(h.quantile(0.5)),
-           approx(h.quantile(0.99)), formatFixed(h.max(), 3)});
+           formatFixed(h.mean(), 3), "~" + formatFixed(h.quantile(0.5), 3),
+           "~" + formatFixed(h.quantile(0.99), 3), formatFixed(h.max(), 3)});
     }
   }
 

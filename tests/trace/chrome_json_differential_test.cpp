@@ -86,8 +86,9 @@ double draw(std::mt19937_64& rng) {
   const double unit = static_cast<double>(rng() >> 11) * 0x1.0p-53;
   switch (bits % 4) {
     case 0: {  // any bit pattern: all magnitudes, denormals, inf, NaN
+      const std::uint64_t pattern = rng();
       double v = 0.0;
-      std::memcpy(&v, &bits, sizeof v);
+      std::memcpy(&v, &pattern, sizeof v);
       return v;
     }
     case 1: {  // log-uniform 1e-6 .. 1e18 ns, either sign
