@@ -999,7 +999,7 @@ int cmdCompare(std::vector<std::string> args, bool gate) {
     std::cout << stats::renderGate(report);
     return stats::gateExit(report);
   }
-  std::cout << stats::renderCompare(report);
+  std::cout << stats::renderCompare(report, baseline, candidate);
   return 0;
 }
 

@@ -46,7 +46,7 @@ double Xoshiro256::uniform(double lo, double hi) {
 std::uint64_t Xoshiro256::uniformInt(std::uint64_t n) {
   NB_EXPECTS(n > 0);
   // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+  const std::uint64_t limit = uniformIntLimit(n);
   std::uint64_t x = next();
   while (x >= limit) {
     x = next();

@@ -50,6 +50,15 @@ class Xoshiro256 {
   /// Uniform integer in [0, n). Precondition: n > 0.
   std::uint64_t uniformInt(std::uint64_t n);
 
+  /// The rejection limit of uniformInt(n): the largest multiple of n
+  /// representable in 64 bits. A loop drawing many integers below one n
+  /// can compute it once and reproduce uniformInt's stream with
+  /// `x = next(); while (x >= limit) x = next(); x % n`.
+  [[nodiscard]] static constexpr std::uint64_t uniformIntLimit(
+      std::uint64_t n) {
+    return ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+  }
+
   /// Standard normal deviate (Box-Muller on our own uniform stream).
   double normal();
 

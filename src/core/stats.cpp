@@ -151,18 +151,22 @@ RobustSummary robustSummarize(std::span<const double> xs) {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  NB_EXPECTS(!xs.empty());
-  NB_EXPECTS(p >= 0.0 && p <= 100.0);
   std::vector<double> v(xs.begin(), xs.end());
   std::sort(v.begin(), v.end());
-  if (v.size() == 1) {
-    return v.front();
+  return percentileSorted(v, p);
+}
+
+double percentileSorted(std::span<const double> sorted, double p) {
+  NB_EXPECTS(!sorted.empty());
+  NB_EXPECTS(p >= 0.0 && p <= 100.0);
+  if (sorted.size() == 1) {
+    return sorted.front();
   }
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace nodebench

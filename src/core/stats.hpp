@@ -76,6 +76,12 @@ class Welford {
 /// Precondition: !xs.empty(), 0 <= p <= 100.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
+/// percentile() of a sample already sorted ascending, without the copy and
+/// sort — for callers reading several percentiles of one sample.
+/// Precondition: !sorted.empty(), 0 <= p <= 100.
+[[nodiscard]] double percentileSorted(std::span<const double> sorted,
+                                      double p);
+
 /// Median absolute deviation: median(|x - median(xs)|). A robust spread
 /// estimator that, unlike stddev, is not dragged by fault-injected
 /// outlier runs. Returns 0 for a single sample.

@@ -126,18 +126,26 @@ BootstrapCi bootstrapMeanCi(std::span<const double> xs, double level,
   NB_EXPECTS(resamples > 0);
   Xoshiro256 rng(sampleFingerprint(xs) ^ 0xb0075742b0075742ull);
   const std::uint64_t n = xs.size();
+  // rng.uniformInt(n)'s draw, with its rejection limit hoisted out of the
+  // resampling loop: the same stream at one division per draw.
+  const std::uint64_t limit = Xoshiro256::uniformIntLimit(n);
   std::vector<double> means(static_cast<std::size_t>(resamples));
   for (double& m : means) {
     double acc = 0.0;
     for (std::uint64_t i = 0; i < n; ++i) {
-      acc += xs[static_cast<std::size_t>(rng.uniformInt(n))];
+      std::uint64_t x = rng.next();
+      while (x >= limit) {
+        x = rng.next();
+      }
+      acc += xs[static_cast<std::size_t>(x % n)];
     }
     m = acc / static_cast<double>(n);
   }
+  std::sort(means.begin(), means.end());
   const double tailPct = 100.0 * (1.0 - level) / 2.0;
   BootstrapCi ci;
-  ci.lo = percentile(means, tailPct);
-  ci.hi = percentile(means, 100.0 - tailPct);
+  ci.lo = percentileSorted(means, tailPct);
+  ci.hi = percentileSorted(means, 100.0 - tailPct);
   ci.level = level;
   ci.resamples = resamples;
   return ci;

@@ -90,7 +90,8 @@ struct MannWhitneyResult {
                                              std::span<const double> b);
 
 /// Cohen's d: (mean(b) - mean(a)) / pooled stddev; 0 when the pooled
-/// stddev is 0. Preconditions: a.size() >= 2, b.size() >= 2.
+/// stddev is 0. Available to callers; the compare report prints Cliff's
+/// delta only. Preconditions: a.size() >= 2, b.size() >= 2.
 [[nodiscard]] double cohensD(std::span<const double> a,
                              std::span<const double> b);
 

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/parallel.hpp"
 #include "core/table.hpp"
@@ -14,14 +16,15 @@ namespace nodebench::stats {
 
 namespace {
 
-std::string joinKey(const SampleRecord& r) {
+std::string joinKey(std::string_view machine, std::string_view cell,
+                    std::string_view quantity) {
   std::string key;
-  key.reserve(r.machine.size() + r.cell.size() + r.quantity.size() + 2);
-  key.append(r.machine);
+  key.reserve(machine.size() + cell.size() + quantity.size() + 2);
+  key.append(machine);
   key.push_back('\x1f');
-  key.append(r.cell);
+  key.append(cell);
   key.push_back('\x1f');
-  key.append(r.quantity);
+  key.append(quantity);
   return key;
 }
 
@@ -30,7 +33,8 @@ using RecordIndex = std::map<std::string, const SampleRecord*, std::less<>>;
 RecordIndex indexRecords(const StoreContents& store) {
   RecordIndex index;
   for (const SampleRecord& r : store.records) {
-    index.emplace(joinKey(r), &r);  // first occurrence wins
+    // First occurrence wins.
+    index.emplace(joinKey(r.machine, r.cell, r.quantity), &r);
   }
   return index;
 }
@@ -99,17 +103,9 @@ CellComparison compareCell(const SampleRecord* base, const SampleRecord* cand,
 
   if (base != nullptr) {
     out.baseline = base->summary;
-    if (!base->samples.empty()) {
-      out.baselineCi = bootstrapMeanCi(base->samples, opt.ciLevel,
-                                       opt.bootstrapResamples);
-    }
   }
   if (cand != nullptr) {
     out.candidate = cand->summary;
-    if (!cand->samples.empty()) {
-      out.candidateCi = bootstrapMeanCi(cand->samples, opt.ciLevel,
-                                        opt.bootstrapResamples);
-    }
   }
   if (base == nullptr) {
     out.verdict = Verdict::CandidateOnly;
@@ -129,7 +125,6 @@ CellComparison compareCell(const SampleRecord* base, const SampleRecord* cand,
                  std::fabs(base->summary.mean) * 100.0;
   out.welch = welchTTest(base->samples, cand->samples);
   out.mw = mannWhitneyU(base->samples, cand->samples);
-  out.cohensD = stats::cohensD(base->samples, cand->samples);
   out.cliffsDelta = stats::cliffsDelta(base->samples, cand->samples);
 
   const bool significant = out.welch.p < opt.alpha && out.mw.p < opt.alpha;
@@ -213,8 +208,8 @@ CompareReport compareStores(const StoreContents& baseline,
   std::sort(keys.begin(), keys.end());
 
   // Order-preserving map over the sorted key union: each cell's battery
-  // (two 2000-resample bootstraps plus the rank test) is independent, and
-  // the result vector is indexed by key order, so the report is
+  // (Welch, the rank test and Cliff's delta) is independent, and the
+  // result vector is indexed by key order, so the report is
   // byte-identical at any worker count.
   report.cells = par::parallelMap(
       keys,
@@ -250,7 +245,32 @@ CompareReport compareStores(const StoreContents& baseline,
   return report;
 }
 
-std::string renderCompare(const CompareReport& report) {
+std::string renderCompare(const CompareReport& report,
+                          const StoreContents& baseline,
+                          const StoreContents& candidate) {
+  // The CIs are the expensive part of the report (two bootstraps per
+  // cell), so they fan out in cell order like compareStores' battery and
+  // read the same first-occurrence records.
+  const RecordIndex baseIndex = indexRecords(baseline);
+  const RecordIndex candIndex = indexRecords(candidate);
+  const CompareOptions& opt = report.options;
+  const auto ciOf = [&](const RecordIndex& index, const std::string& key) {
+    const auto it = index.find(key);
+    if (it == index.end() || it->second->samples.empty()) {
+      return BootstrapCi{};
+    }
+    return bootstrapMeanCi(it->second->samples, opt.ciLevel,
+                           opt.bootstrapResamples);
+  };
+  const std::vector<std::pair<BootstrapCi, BootstrapCi>> cis =
+      par::parallelMap(
+          report.cells,
+          [&](const CellComparison& c) {
+            const std::string key = joinKey(c.machine, c.cell, c.quantity);
+            return std::pair{ciOf(baseIndex, key), ciOf(candIndex, key)};
+          },
+          opt.jobs);
+
   std::ostringstream out;
   out << "comparison: alpha=" << formatFixed(report.options.alpha, 3)
       << ", threshold=" << formatFixed(report.options.thresholdPct, 2)
@@ -279,8 +299,8 @@ std::string renderCompare(const CompareReport& report) {
                           c.verdict == Verdict::Regression ||
                           c.verdict == Verdict::Improvement;
       table.addRow({c.cell, c.quantity, c.unit,
-                    formatMeanCi(c.baseline, c.baselineCi),
-                    formatMeanCi(c.candidate, c.candidateCi),
+                    formatMeanCi(c.baseline, cis[i].first),
+                    formatMeanCi(c.candidate, cis[i].second),
                     tested ? (c.deltaPct >= 0.0 ? "+" : "") +
                                  formatFixed(c.deltaPct, 2)
                            : "-",

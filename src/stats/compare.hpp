@@ -4,10 +4,10 @@
 /// (`nodebench compare` / `nodebench gate`).
 ///
 /// A comparison joins two stores on (machine, cell, quantity) and runs
-/// the full statistical battery (analysis.hpp) on each matched pair of
-/// sample vectors. The verdict for a cell requires *three* things to
-/// call a change real, following Hunold & Carpen-Amarie's critique of
-/// mean-only benchmark comparisons:
+/// the verdict battery (analysis.hpp: Welch, Mann-Whitney U, Cliff's
+/// delta) on each matched pair of sample vectors. The verdict for a cell
+/// requires *three* things to call a change real, following Hunold &
+/// Carpen-Amarie's critique of mean-only benchmark comparisons:
 ///
 ///  1. **Welch's t-test** significant at `alpha` (mean shift, unequal
 ///     variances), AND
@@ -22,10 +22,16 @@
 /// Direction comes from each record's lower/higher-is-better flag, so a
 /// latency increase and a bandwidth decrease both read "Regression".
 ///
-/// Determinism: cells are compared via the order-preserving parallel
-/// map over a sorted key union, and every statistic is a pure function
-/// of the sample data (the bootstrap seeds from a data fingerprint) —
-/// compare/gate output is byte-identical at any `--jobs`.
+/// Cost: the bootstrap CIs of the two means are not part of the verdict,
+/// so compareStores does not compute them. renderCompare, the only
+/// renderer that prints them, runs the two bootstraps per cell itself;
+/// `gate` pays for the tests alone.
+///
+/// Determinism: cells are compared, and their CIs computed, via the
+/// order-preserving parallel map over a sorted key union, and every
+/// statistic is a pure function of the sample data (the bootstrap seeds
+/// from a data fingerprint) — compare/gate output is byte-identical at
+/// any `--jobs`.
 
 #include <string>
 #include <vector>
@@ -36,11 +42,11 @@
 namespace nodebench::stats {
 
 struct CompareOptions {
-  int jobs = 0;               ///< Worker threads (0 = hardware default).
-  double alpha = 0.05;        ///< Significance level for both tests.
-  double thresholdPct = 2.0;  ///< Materiality threshold, percent.
-  double ciLevel = 0.95;
-  int bootstrapResamples = 2000;
+  int jobs = 0;                   ///< Worker threads (0 = hardware default).
+  double alpha = 0.05;            ///< Significance level for both tests.
+  double thresholdPct = 2.0;      ///< Materiality threshold, percent.
+  double ciLevel = 0.95;          ///< Bootstrap CI coverage (compare only).
+  int bootstrapResamples = 2000;  ///< Bootstrap resamples (compare only).
 };
 
 enum class Verdict {
@@ -65,12 +71,9 @@ struct CellComparison {
   Better better = Better::Lower;
   Summary baseline;
   Summary candidate;
-  BootstrapCi baselineCi;
-  BootstrapCi candidateCi;
   double deltaPct = 0.0;  ///< (cand.mean - base.mean) / |base.mean| * 100.
   WelchResult welch;
   MannWhitneyResult mw;
-  double cohensD = 0.0;
   double cliffsDelta = 0.0;
   Verdict verdict = Verdict::Unchanged;
 };
@@ -99,7 +102,12 @@ struct CompareReport {
 /// Full human-readable report: config notes, one table per machine
 /// (baseline/candidate means with bootstrap CIs, delta, p-values,
 /// Cliff's delta, verdict with significance markers), summary counts.
-[[nodiscard]] std::string renderCompare(const CompareReport& report);
+/// `baseline` and `candidate` are the stores `report` was built from: the
+/// CIs are computed here, on `report.options.jobs` workers, from the
+/// same first-occurrence records the verdicts used.
+[[nodiscard]] std::string renderCompare(const CompareReport& report,
+                                        const StoreContents& baseline,
+                                        const StoreContents& candidate);
 
 /// Compact gate output: config notes, each regression on one line, and
 /// a final "gate: PASS" / "gate: FAIL" line.

@@ -3,6 +3,8 @@
 /// renderCompare/renderGate text must be byte-identical at any worker
 /// count and on repeated evaluation — the property that makes a stored
 /// compare table reviewable evidence rather than a one-off printout.
+/// renderCompare fans its bootstrap CIs out on the report's worker count,
+/// so the worker-count check covers both parallel maps.
 
 #include <gtest/gtest.h>
 
@@ -82,13 +84,14 @@ TEST(CompareDeterminism, OutputByteIdenticalAcrossWorkerCounts) {
   CompareOptions opt;
   opt.jobs = 1;
   const CompareReport sequential = compareStores(base, cand, opt);
-  const std::string compareSeq = renderCompare(sequential);
+  const std::string compareSeq = renderCompare(sequential, base, cand);
   const std::string gateSeq = renderGate(sequential);
   ASSERT_GT(sequential.regressions, 0u);  // the fixture must exercise FAIL
   for (const int jobs : {2, 3, 8}) {
     opt.jobs = jobs;
     const CompareReport parallel = compareStores(base, cand, opt);
-    EXPECT_EQ(renderCompare(parallel), compareSeq) << "jobs=" << jobs;
+    EXPECT_EQ(renderCompare(parallel, base, cand), compareSeq)
+        << "jobs=" << jobs;
     EXPECT_EQ(renderGate(parallel), gateSeq) << "jobs=" << jobs;
     EXPECT_EQ(gateExit(parallel), gateExit(sequential)) << "jobs=" << jobs;
   }
@@ -96,8 +99,10 @@ TEST(CompareDeterminism, OutputByteIdenticalAcrossWorkerCounts) {
 
 TEST(CompareDeterminism, RepeatedRunsAreByteIdentical) {
   const auto [base, cand] = testStores();
-  const std::string first = renderCompare(compareStores(base, cand));
-  const std::string second = renderCompare(compareStores(base, cand));
+  const std::string first =
+      renderCompare(compareStores(base, cand), base, cand);
+  const std::string second =
+      renderCompare(compareStores(base, cand), base, cand);
   EXPECT_EQ(first, second);
 }
 
@@ -106,10 +111,11 @@ TEST(CompareDeterminism, RecordFileOrderDoesNotMatter) {
   // with --jobs; the comparison must be a pure function of the keyed
   // record *set*.
   auto [base, cand] = testStores();
-  const std::string forward = renderCompare(compareStores(base, cand));
+  const std::string forward =
+      renderCompare(compareStores(base, cand), base, cand);
   std::reverse(base.records.begin(), base.records.end());
   std::reverse(cand.records.begin(), cand.records.end());
-  EXPECT_EQ(renderCompare(compareStores(base, cand)), forward);
+  EXPECT_EQ(renderCompare(compareStores(base, cand), base, cand), forward);
 }
 
 }  // namespace

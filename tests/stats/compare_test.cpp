@@ -1,12 +1,14 @@
 /// \file compare_test.cpp
 /// \brief Regression-detection tests: verdict logic (direction,
 /// significance, materiality), unmatched/insufficient handling, config
-/// notes, and the gate exit-code contract.
+/// notes, the gate exit-code contract, and the split between the verdict
+/// battery (compareStores) and the bootstrap CIs (renderCompare only).
 
 #include "stats/compare.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -183,7 +185,8 @@ TEST(CompareStores, ConfigNotesNameDifferingKnobsButNotJobs) {
   ASSERT_EQ(report.configNotes.size(), 1u);
   EXPECT_NE(report.configNotes[0].find("--runs"), std::string::npos);
   // The note must appear in both renderings.
-  EXPECT_NE(renderCompare(report).find("--runs"), std::string::npos);
+  EXPECT_NE(renderCompare(report, base, cand).find("--runs"),
+            std::string::npos);
   EXPECT_NE(renderGate(report).find("--runs"), std::string::npos);
 }
 
@@ -192,10 +195,105 @@ TEST(CompareStores, RenderCompareCarriesVerdictMarkers) {
       "M", "c", "latency", Better::Lower, around(10.0, 0.05, 50, 1))});
   const StoreContents cand = storeWith({record(
       "M", "c", "latency", Better::Lower, around(14.0, 0.05, 50, 2))});
-  const std::string out = renderCompare(compareStores(base, cand));
+  const std::string out =
+      renderCompare(compareStores(base, cand), base, cand);
   EXPECT_NE(out.find("REGRESSION"), std::string::npos);
   EXPECT_NE(out.find("**"), std::string::npos);  // p < 0.01 marker
   EXPECT_NE(out.find("1 regression(s)"), std::string::npos);
+}
+
+TEST(CompareStores, VerdictsDoNotDependOnTheBootstrap) {
+  // The verdict battery runs no bootstrap, so the resample count (which
+  // only sizes the CIs renderCompare prints) cannot move a verdict.
+  const StoreContents base = storeWith({
+      record("M", "up", "latency", Better::Lower, around(10.0, 0.05, 30, 1)),
+      record("M", "down", "latency", Better::Lower,
+             around(10.0, 0.05, 30, 2)),
+      record("M", "flat", "latency", Better::Lower, around(10.0, 0.3, 30, 3)),
+      record("M", "tiny", "latency", Better::Lower, {1.0}),
+  });
+  const StoreContents cand = storeWith({
+      record("M", "up", "latency", Better::Lower, around(11.0, 0.05, 30, 4)),
+      record("M", "down", "latency", Better::Lower, around(9.0, 0.05, 30, 5)),
+      record("M", "flat", "latency", Better::Lower, around(10.0, 0.3, 30, 6)),
+      record("M", "tiny", "latency", Better::Lower, {1.0}),
+  });
+  const CompareReport reference = compareStores(base, cand);
+  for (const int resamples : {1, 7, 50000}) {
+    CompareOptions opt;
+    opt.bootstrapResamples = resamples;
+    const CompareReport report = compareStores(base, cand, opt);
+    ASSERT_EQ(report.cells.size(), reference.cells.size());
+    for (std::size_t i = 0; i < report.cells.size(); ++i) {
+      const CellComparison& got = report.cells[i];
+      const CellComparison& want = reference.cells[i];
+      EXPECT_EQ(got.verdict, want.verdict) << got.cell;
+      EXPECT_EQ(got.deltaPct, want.deltaPct) << got.cell;
+      EXPECT_EQ(got.welch.p, want.welch.p) << got.cell;
+      EXPECT_EQ(got.mw.p, want.mw.p) << got.cell;
+      EXPECT_EQ(got.cliffsDelta, want.cliffsDelta) << got.cell;
+    }
+    EXPECT_EQ(report.regressions, 1u);
+    EXPECT_EQ(report.improvements, 1u);
+    EXPECT_EQ(report.unchanged, 1u);
+    EXPECT_EQ(report.insufficient, 1u);
+    EXPECT_EQ(renderGate(report), renderGate(reference));
+    EXPECT_EQ(gateExit(report), kGateRegressionExitCode);
+  }
+}
+
+/// The trimmed columns of the compare-table row whose first column is
+/// `cell`; empty when no such row exists.
+std::vector<std::string> rowColumns(const std::string& rendered,
+                                    const std::string& cell) {
+  std::istringstream lines(rendered);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> columns;
+    std::istringstream fields(line);
+    std::string field;
+    std::getline(fields, field, '|');  // text before the first border
+    while (std::getline(fields, field, '|')) {
+      const auto first = field.find_first_not_of(' ');
+      const auto last = field.find_last_not_of(' ');
+      columns.push_back(first == std::string::npos
+                            ? ""
+                            : field.substr(first, last - first + 1));
+    }
+    if (!columns.empty() && columns.front() == cell) {
+      return columns;
+    }
+  }
+  return {};
+}
+
+TEST(CompareStores, EmptySampleRecordRendersDashWithoutCi) {
+  SampleRecord empty;
+  empty.machine = "M";
+  empty.cell = "empty";
+  empty.quantity = "latency";
+  empty.unit = "us";
+  empty.better = Better::Lower;
+  const StoreContents base = storeWith({empty});
+  const StoreContents cand = storeWith({record(
+      "M", "empty", "latency", Better::Lower, around(2.0, 0.1, 20, 1))});
+  const CompareReport report = compareStores(base, cand);
+  EXPECT_EQ(findCell(report, "empty").verdict, Verdict::Insufficient);
+
+  const std::vector<std::string> row =
+      rowColumns(renderCompare(report, base, cand), "empty");
+  ASSERT_EQ(row.size(), 10u);
+  EXPECT_EQ(row[3], "-");  // baseline: no mean, no CI
+  EXPECT_NE(row[4].find(" ["), std::string::npos) << row[4];  // CI shown
+  EXPECT_EQ(row[9], "insufficient");
+
+  // Empty on both sides: two dashes, and nothing to resample.
+  const std::vector<std::string> both =
+      rowColumns(renderCompare(compareStores(base, base), base, base),
+                 "empty");
+  ASSERT_EQ(both.size(), 10u);
+  EXPECT_EQ(both[3], "-");
+  EXPECT_EQ(both[4], "-");
 }
 
 }  // namespace

@@ -13,9 +13,11 @@
 #
 # Asserted properties:
 #  - gate(base, base) exits 0: identical samples are never a regression;
-#  - gate(base, degraded) exits non-zero: a fault-plan-degraded candidate
-#    trips the gate, and `compare` names the regressed cells;
-#  - compare/gate output is byte-identical at --jobs 1 and --jobs 8;
+#  - gate(base, degraded) exits exactly 3 (kGateRegressionExitCode): a
+#    fault-plan-degraded candidate trips the gate, and `compare` names the
+#    regressed cells;
+#  - compare output and gate output are each byte-identical at --jobs 1
+#    and --jobs 8;
 #  - a store recorded at --jobs 8 is semantically identical to one
 #    recorded at --jobs 1 (gate between them passes with zero flagged
 #    cells), even though the append order on disk may differ.
@@ -53,12 +55,13 @@ echo "== record degraded candidate under the demo fault plan =="
 "${nodebench}" table "${table}" --runs "${runs}" --jobs 1 \
   --faults "${plan}" --store "${workdir}/degraded.store" > /dev/null
 
-echo "== gate(base, degraded) must FAIL with a non-zero exit =="
+echo "== gate(base, degraded) must FAIL with exit 3 =="
+# 3 is stats::kGateRegressionExitCode; 1 would be an error, not a verdict.
 rc=0
 "${nodebench}" gate "${workdir}/base.store" "${workdir}/degraded.store" \
   || rc=$?
-if (( rc == 0 )); then
-  echo "error: gate passed a fault-degraded candidate" >&2
+if (( rc != 3 )); then
+  echo "error: gate exited ${rc} on a fault-degraded candidate (want 3)" >&2
   exit 1
 fi
 echo "   gate exited ${rc} on the degraded candidate (as required)"
@@ -80,6 +83,24 @@ if ! grep -q "REGRESSION" "${workdir}/compare_j1.txt"; then
   exit 1
 fi
 echo "   compare tables are byte-identical and name the regressions"
+
+echo
+echo "== gate output must be byte-identical at --jobs 1 and 8 =="
+for jobs in 1 8; do
+  rc=0
+  "${nodebench}" gate "${workdir}/base.store" "${workdir}/degraded.store" \
+    --jobs "${jobs}" > "${workdir}/gate_j${jobs}.txt" || rc=$?
+  if (( rc != 3 )); then
+    echo "error: gate --jobs ${jobs} exited ${rc} (want 3)" >&2
+    exit 1
+  fi
+done
+if ! cmp -s "${workdir}/gate_j1.txt" "${workdir}/gate_j8.txt"; then
+  echo "error: gate output depends on --jobs" >&2
+  diff "${workdir}/gate_j1.txt" "${workdir}/gate_j8.txt" | head -20 >&2
+  exit 1
+fi
+echo "   gate output is byte-identical and exits 3 at both worker counts"
 
 echo
 echo "== a store recorded at --jobs 8 must be semantically identical =="
