@@ -235,7 +235,7 @@ void refuseMismatch(const std::string& path, const std::string& mismatch) {
 
 FramedLog::FramedLog(const FramedFormat& format, const std::string& path)
     : format_(format), path_(path) {
-  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd_ < 0) {
     throw Error(std::string("cannot reopen ") + format.noun +
                 " for appending: " + path + ": " + std::strerror(errno));

@@ -103,7 +103,7 @@ void syncParentDir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string dir =
       slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
     (void)::fsync(fd);
     ::close(fd);
@@ -133,7 +133,8 @@ int ioFailuresFired() {
 void atomicWrite(const std::string& path, std::span<const std::uint8_t> content,
                  const char* what) {
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
     throw Error(std::string("cannot create ") + what + " temp file: " + tmp +
                 ": " + errnoText());

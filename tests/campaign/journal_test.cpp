@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -279,6 +281,20 @@ class JournalFileTest : public ::testing::Test {
 
   void SetUp() override { std::filesystem::remove(path()); }
   void TearDown() override { std::filesystem::remove(path()); }
+
+  /// The descriptor flags of this process's open fd on path(); -1 when
+  /// none is open.
+  int appendFdFlags() const {
+    const std::filesystem::path target = std::filesystem::canonical(path());
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      std::error_code ec;
+      if (std::filesystem::read_symlink(entry.path(), ec) == target) {
+        return ::fcntl(std::stoi(entry.path().filename().string()), F_GETFD);
+      }
+    }
+    return -1;
+  }
 };
 
 TEST_F(JournalFileTest, CreateAppendResumeReplays) {
@@ -355,6 +371,22 @@ TEST_F(JournalFileTest, ResumeTruncatesTornTailOnDisk) {
   auto again = Journal::resume(path(), cfg);
   EXPECT_TRUE(again->warnings().empty());
   EXPECT_EQ(again->recordCount(), 2u);
+}
+
+TEST_F(JournalFileTest, AppendDescriptorIsCloseOnExec) {
+  // The framed log's append fd must not leak into processes a
+  // supervisor forks and execs while it holds its journal open.
+  const CampaignConfig cfg = testConfig();
+  {
+    auto journal = Journal::create(path(), cfg);
+    const int flags = appendFdFlags();
+    ASSERT_GE(flags, 0) << "no open fd on " << path();
+    EXPECT_NE(flags & FD_CLOEXEC, 0) << "created journal";
+  }
+  auto resumed = Journal::resume(path(), cfg);
+  const int flags = appendFdFlags();
+  ASSERT_GE(flags, 0) << "no open fd on " << path();
+  EXPECT_NE(flags & FD_CLOEXEC, 0) << "resumed journal";
 }
 
 TEST_F(JournalFileTest, AppendAfterResumeExtendsTheFile) {
