@@ -16,7 +16,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "campaign/io.hpp"
@@ -30,6 +29,7 @@
 #include "supervise/heartbeat.hpp"
 #include "supervise/journal.hpp"
 #include "supervise/lease.hpp"
+#include "supervise/process.hpp"
 
 namespace nodebench::supervise {
 namespace {
@@ -65,6 +65,7 @@ struct RunningWorker {
   std::uint32_t shard = 0;
   std::uint32_t attempt = 0;
   pid_t pid = -1;
+  Pidfd pidfd;  ///< readable once the worker exits; closed at reap
   std::uint64_t lastSeq = 0;  ///< highest heartbeat sequence seen
   /// Set when the supervisor itself killed the worker (missed
   /// heartbeats, straggler timeout); becomes the incident text at reap
@@ -100,29 +101,41 @@ bool cmdlineMentions(pid_t pid, const std::string& needle) {
 }
 
 /// Kills a worker left over from a supervisor that died, then waits for
-/// it to disappear so its journal is quiescent before a replacement
-/// resumes it. Only kills a process whose cmdline names the shard
-/// journal — a recycled pid belonging to someone else is left alone.
+/// it to exit so its journal is quiescent before a replacement resumes
+/// it. Only kills a process whose cmdline names the shard journal — a
+/// recycled pid belonging to someone else is left alone. The pidfd is
+/// opened before that check and carries the kill, so the process checked
+/// is the process signalled.
 void killStaleWorker(std::uint64_t pid64, const std::string& shardJournal) {
   if (pid64 == 0 || pid64 > static_cast<std::uint64_t>(
                                 std::numeric_limits<pid_t>::max())) {
     return;
   }
   const auto pid = static_cast<pid_t>(pid64);
+  const Pidfd pidfd(pid);
+  if (!pidfd && errno == ESRCH) {
+    return;  // process already gone
+  }
   if (!cmdlineMentions(pid, shardJournal)) {
     return;
   }
   std::cerr << "nodebench supervise: killing stale worker pid " << pid
             << " (" << shardJournal << ")\n";
-  (void)::kill(pid, SIGKILL);
-  // Not our child (the parent died), so waitpid cannot reap it; poll
-  // until the kernel has torn it down. Bounded: a kill that has not
-  // landed after 5s means something is deeply wrong with the host.
+  if (pidfd) {
+    (void)pidfd.sendSignal(SIGKILL);
+  } else {
+    (void)::kill(pid, SIGKILL);
+  }
+  // Not our child (the parent died), so waitpid cannot reap it; its
+  // pidfd turns readable when it exits. Without a pidfd, poll until the
+  // kernel has torn it down. Bounded: a kill that has not landed after
+  // 5s means something is deeply wrong with the host.
+  const int fds[] = {pidfd.get()};
   for (int i = 0; i < 500; ++i) {
-    if (::kill(pid, 0) != 0 && errno == ESRCH) {
+    if (awaitAnyExit(fds, std::chrono::milliseconds(10)) ||
+        (!pidfd && ::kill(pid, 0) != 0 && errno == ESRCH)) {
       return;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   throw Error("stale worker pid " + std::to_string(pid) +
               " did not die within 5s of SIGKILL");
@@ -366,7 +379,8 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
     worker.shard = shard;
     worker.attempt = attempt;
     worker.pid = pid;
-    running[pid] = worker;
+    worker.pidfd = Pidfd(pid);
+    running.emplace(pid, std::move(worker));
     shardPid[shard] = pid;
 
     const std::int64_t now = clock.nowMs();
@@ -379,18 +393,15 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
               << journalPaths[shard] << "\n";
   };
 
-  while (!sched.allResolved()) {
+  // One iteration: reap -> fill -> heartbeat scan -> expire -> wait. A
+  // slot a reap frees is refilled in the same iteration, and the wait
+  // ends the moment any worker exits (its pidfd turns readable), at the
+  // next deadline or backoff window, or after kMaxWait — the heartbeat
+  // scan cadence — whichever comes first.
+  constexpr std::chrono::milliseconds kMaxWait(20);
+  for (;;) {
     if (options.stopFlag != nullptr && *options.stopFlag != 0) {
       return drain();
-    }
-
-    // Fill free worker slots with ready leases.
-    while (sched.leasedCount() < slots) {
-      const auto shard = sched.acquire(clock.nowMs());
-      if (!shard) {
-        break;
-      }
-      launch(*shard);
     }
 
     // Reap finished workers and adjudicate their attempts.
@@ -404,7 +415,7 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
       if (it == running.end()) {
         continue;  // not a worker we launched (cannot happen in practice)
       }
-      const RunningWorker worker = it->second;
+      const RunningWorker worker = std::move(it->second);
       running.erase(it);
       shardPid.erase(worker.shard);
       monitor.disarm(hbKey(worker.shard));
@@ -462,6 +473,19 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
       }
     }
 
+    if (sched.allResolved()) {
+      break;
+    }
+
+    // Fill free worker slots with ready leases.
+    while (sched.leasedCount() < slots) {
+      const auto shard = sched.acquire(clock.nowMs());
+      if (!shard) {
+        break;
+      }
+      launch(*shard);
+    }
+
     // Heartbeat liveness: a beat with a fresh sequence number re-arms
     // the shard's expiry deadline. Beats from a previous attempt's pid
     // are ignored (a stale file is silence, not liveness).
@@ -510,7 +534,25 @@ SuperviseResult runSupervise(const SuperviseOptions& options) {
       monitor.disarm(toKey(shard));
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Wait for an exit, the next deadline, or — when a slot is free —
+    // the next backoff window to open.
+    auto wait = kMaxWait;
+    if (const auto next = monitor.nextDeadline()) {
+      wait = std::min(wait, std::chrono::ceil<std::chrono::milliseconds>(
+                                *next - clock.now()));
+    }
+    if (sched.leasedCount() < slots) {
+      if (const auto ready = sched.nextPendingReadyMs()) {
+        wait = std::min(wait,
+                        std::chrono::milliseconds(*ready - clock.nowMs()));
+      }
+    }
+    std::vector<int> pidfds;
+    pidfds.reserve(running.size());
+    for (const auto& [pid, worker] : running) {
+      pidfds.push_back(worker.pidfd.get());
+    }
+    (void)awaitAnyExit(pidfds, wait);
   }
 
   SuperviseResult result;

@@ -146,6 +146,59 @@ TEST(LeaseScheduler, ReplayRebuildsState) {
   EXPECT_EQ(sched.lease(2).lastIncident, "crash again");
 }
 
+TEST(LeaseScheduler, ReplayOfInterleavedReapAndRefillEndsDone) {
+  // Four shards on two slots, as the event loop journals them when each
+  // reap refills its freed slot before the next worker exits.
+  LeaseScheduler sched(4, 2, fastPolicy(), demoConfig());
+  const std::vector<SupervisorEvent> events = {
+      event(EventKind::AttemptStarted, 0, 1, 201),
+      event(EventKind::AttemptStarted, 1, 1, 202),
+      event(EventKind::ShardDone, 0, 1),
+      event(EventKind::AttemptStarted, 2, 1, 203),
+      event(EventKind::ShardDone, 1, 1),
+      event(EventKind::AttemptStarted, 3, 1, 204),
+      event(EventKind::ShardDone, 2, 1),
+      event(EventKind::ShardDone, 3, 1),
+  };
+  sched.replay(events, 0);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sched.lease(i).state, ShardState::Done) << "shard " << i;
+    EXPECT_EQ(sched.lease(i).attempts, 1u) << "shard " << i;
+  }
+  EXPECT_TRUE(sched.allResolved());
+  EXPECT_EQ(sched.doneShards(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+}
+
+TEST(LeaseScheduler, ReplayAfterDeathMidRefillReleasesUnburned) {
+  // The supervisor died right after journalling the refill of shard 0's
+  // slot: shard 2 is Leased to its recorded pid, shard 1 is still in
+  // flight too, and releasing shard 2 un-burns its attempt.
+  LeaseScheduler sched(4, 2, fastPolicy(), demoConfig());
+  const std::vector<SupervisorEvent> events = {
+      event(EventKind::AttemptStarted, 0, 1, 201),
+      event(EventKind::AttemptStarted, 1, 1, 202),
+      event(EventKind::ShardDone, 0, 1),
+      event(EventKind::AttemptStarted, 2, 1, 203),
+  };
+  sched.replay(events, 0);
+  EXPECT_EQ(sched.lease(0).state, ShardState::Done);
+  EXPECT_EQ(sched.lease(1).state, ShardState::Leased);
+  ASSERT_EQ(sched.lease(2).state, ShardState::Leased);
+  EXPECT_EQ(sched.lease(2).pid, 203u);
+  EXPECT_EQ(sched.lease(3).state, ShardState::Pending);
+
+  sched.release(1);
+  sched.release(2);
+  EXPECT_EQ(sched.lease(2).state, ShardState::Pending);
+  EXPECT_EQ(sched.lease(2).attempts, 0u) << "the in-flight attempt is un-burned";
+  EXPECT_EQ(sched.lease(2).pid, 0u);
+  // The resumed supervisor re-leases the released shards first, at
+  // attempt 1 again and with no backoff (nothing failed).
+  EXPECT_EQ(sched.acquire(0), std::optional<std::uint32_t>(1));
+  EXPECT_EQ(sched.acquire(0), std::optional<std::uint32_t>(2));
+  EXPECT_EQ(sched.lease(2).attempts, 1u);
+}
+
 TEST(LeaseScheduler, ReplayRefusesInconsistentLogs) {
   const auto cfg = demoConfig();
   {
