@@ -56,8 +56,8 @@
 #include "osu/pairs.hpp"
 #include "report/balance.hpp"
 #include "report/export.hpp"
+#include "report/family.hpp"
 #include "report/figures.hpp"
-#include "report/memlab_report.hpp"
 #include "report/tables.hpp"
 #include "serve/server.hpp"
 #include "stats/compare.hpp"
@@ -156,57 +156,32 @@ int usage() {
   return 2;
 }
 
+/// Consumes "--flag VALUE" and returns VALUE; nullopt when the flag is
+/// absent. A dangling flag (last argument, no value) throws Error rather
+/// than being silently ignored.
 std::optional<std::string> flagValue(std::vector<std::string>& args,
                                      const std::string& flag) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) {
-      std::string value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      return value;
-    }
-  }
-  return std::nullopt;
-}
-
-/// Validated "--flag N" with N a positive integer; throws Error (caught
-/// by main's top-level handler, exit code 1) on anything else, rather
-/// than letting stoi's silent acceptance of "0" or "8x" configure a
-/// nonsense harness.
-std::optional<int> positiveFlagValue(std::vector<std::string>& args,
-                                     const std::string& flag) {
-  const auto raw = flagValue(args, flag);
-  if (!raw) {
-    // flagValue never matches a trailing flag (it needs a value after
-    // it); don't let a dangling "--runs" be silently ignored.
-    if (std::find(args.begin(), args.end(), flag) != args.end()) {
-      throw Error(flag + " expects a value");
-    }
+  const auto it = std::find(args.begin(), args.end(), flag);
+  if (it == args.end()) {
     return std::nullopt;
   }
-  std::size_t used = 0;
-  int value = 0;
-  try {
-    value = std::stoi(*raw, &used);
-  } catch (const std::exception&) {
-    throw Error(flag + " expects a positive integer, got '" + *raw + "'");
+  if (it + 1 == args.end()) {
+    throw Error(flag + " expects a value");
   }
-  if (used != raw->size() || value < 1) {
-    throw Error(flag + " expects a positive integer, got '" + *raw + "'");
-  }
+  std::string value = *(it + 1);
+  args.erase(it, it + 2);
   return value;
 }
 
-/// Validated "--flag N" with N a non-negative integer — for flags where
-/// 0 is meaningful (a shard index); same error discipline as
-/// positiveFlagValue.
-std::optional<int> nonNegativeFlagValue(std::vector<std::string>& args,
-                                        const std::string& flag) {
+/// Validated "--flag N" with N an integer >= `min` (1 for counts, 0 where
+/// zero is meaningful, e.g. a shard index); throws Error (caught by
+/// main's top-level handler, exit code 1) on anything else, rather than
+/// letting stoi's silent acceptance of "0" or "8x" configure a nonsense
+/// harness.
+std::optional<int> intFlagValue(std::vector<std::string>& args,
+                                const std::string& flag, int min) {
   const auto raw = flagValue(args, flag);
   if (!raw) {
-    if (std::find(args.begin(), args.end(), flag) != args.end()) {
-      throw Error(flag + " expects a value");
-    }
     return std::nullopt;
   }
   std::size_t used = 0;
@@ -214,25 +189,22 @@ std::optional<int> nonNegativeFlagValue(std::vector<std::string>& args,
   try {
     value = std::stoi(*raw, &used);
   } catch (const std::exception&) {
-    throw Error(flag + " expects a non-negative integer, got '" + *raw +
-                "'");
+    used = 0;
   }
-  if (used != raw->size() || value < 0) {
-    throw Error(flag + " expects a non-negative integer, got '" + *raw +
-                "'");
+  if (used == 0 || used != raw->size() || value < min) {
+    throw Error(flag + " expects a " +
+                (min > 0 ? "positive" : "non-negative") + " integer, got '" +
+                *raw + "'");
   }
   return value;
 }
 
 /// Validated "--flag X" with X a positive finite number ("2.5", "0.01");
-/// same error discipline as positiveFlagValue.
+/// same error discipline as intFlagValue.
 std::optional<double> positiveDoubleFlagValue(std::vector<std::string>& args,
                                               const std::string& flag) {
   const auto raw = flagValue(args, flag);
   if (!raw) {
-    if (std::find(args.begin(), args.end(), flag) != args.end()) {
-      throw Error(flag + " expects a value");
-    }
     return std::nullopt;
   }
   std::size_t used = 0;
@@ -301,11 +273,8 @@ std::unique_ptr<campaign::Journal> openJournal(std::vector<std::string>& args,
                                                report::TableOptions& opt) {
   const auto path = flagValue(args, "--journal");
   const bool resume = flagPresent(args, "--resume");
-  const auto crashAfter = positiveFlagValue(args, "--crash-after-cell");
+  const auto crashAfter = intFlagValue(args, "--crash-after-cell", 1);
   if (!path) {
-    if (std::find(args.begin(), args.end(), "--journal") != args.end()) {
-      throw Error("--journal expects a value");
-    }
     if (resume) {
       throw Error("--resume requires --journal FILE");
     }
@@ -345,9 +314,6 @@ std::unique_ptr<stats::ResultStore> openStore(std::vector<std::string>& args,
                                               bool resume) {
   const auto path = flagValue(args, "--store");
   if (!path) {
-    if (std::find(args.begin(), args.end(), "--store") != args.end()) {
-      throw Error("--store expects a value");
-    }
     return nullptr;
   }
   auto store =
@@ -368,9 +334,6 @@ std::unique_ptr<campaign::ShardPlan> openShardPlan(
     std::vector<std::string>& args, report::TableOptions& opt) {
   const auto spec = flagValue(args, "--shard");
   if (!spec) {
-    if (std::find(args.begin(), args.end(), "--shard") != args.end()) {
-      throw Error("--shard expects a value (i/N)");
-    }
     return nullptr;
   }
   auto plan =
@@ -430,17 +393,19 @@ void finishTrace(const TraceRequest& req) {
   }
 }
 
-int cmdList() {
+int cmdList(const std::vector<std::string>& args) {
+  rejectLeftoverFlags(args);
   std::cout << report::buildTable2().renderAscii() << '\n'
             << report::buildTable3().renderAscii();
   return 0;
 }
 
 int cmdTopo(std::vector<std::string> args) {
+  const bool dot = flagPresent(args, "--dot");
+  rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
   }
-  const bool dot = flagPresent(args, "--dot");
   const machines::Machine& m = machines::byName(args[0]);
   if (dot) {
     std::cout << topo::toDot(m.topology, m.info.name);
@@ -459,38 +424,31 @@ int cmdTable(std::vector<std::string> args) {
     plan = faults::FaultPlan::load(*planPath);
     opt.faults = &*plan;
   }
-  if (args.empty()) {
-    return usage();
-  }
-  if (const auto runs = positiveFlagValue(args, "--runs")) {
+  if (const auto runs = intFlagValue(args, "--runs", 1)) {
     opt.binaryRuns = *runs;
   }
-  if (const auto jobs = positiveFlagValue(args, "--jobs")) {
+  if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
     opt.jobs = *jobs;
   }
   // Hidden test hook (like --crash-after-cell): slow every cell so the
   // crash suite can land signals mid-campaign deterministically. Not
   // part of the campaign fingerprint — it changes timing, not results.
-  if (const auto delay = positiveFlagValue(args, "--test-cell-delay-ms")) {
+  if (const auto delay = intFlagValue(args, "--test-cell-delay-ms", 1)) {
     opt.testCellDelayMs = *delay;
   }
   // Supervised-worker liveness: beat a heartbeat file for the campaign's
   // duration (see supervise/heartbeat.hpp). Timing-only — never part of
   // the fingerprint, never visible on stdout.
   const auto heartbeatFile = flagValue(args, "--heartbeat");
-  if (!heartbeatFile &&
-      std::find(args.begin(), args.end(), "--heartbeat") != args.end()) {
-    throw Error("--heartbeat expects a value");
-  }
   std::uint32_t heartbeatIntervalMs = 100;
-  if (const auto v = positiveFlagValue(args, "--heartbeat-interval-ms")) {
+  if (const auto v = intFlagValue(args, "--heartbeat-interval-ms", 1)) {
     heartbeatIntervalMs = static_cast<std::uint32_t>(*v);
   }
   // Hidden chaos hooks for the supervise suite: stop heartbeating after
   // N beats (a wedged worker), or fail outright after the journal opens
   // (a poisoned shard).
   const auto stallAfter =
-      positiveFlagValue(args, "--test-heartbeat-stall-after");
+      intFlagValue(args, "--test-heartbeat-stall-after", 1);
   if (stallAfter && !heartbeatFile) {
     throw Error("--test-heartbeat-stall-after requires --heartbeat FILE");
   }
@@ -519,7 +477,11 @@ int cmdTable(std::vector<std::string> args) {
         stallAfter ? static_cast<std::uint64_t>(*stallAfter) : 0);
   }
   rejectLeftoverFlags(args);
-  const std::string which = args[0];
+  if (args.empty()) {
+    return usage();
+  }
+  const std::vector<const report::Family*> selected =
+      report::selectFamilies(args[0]);
   if (testFailRun) {
     // Fires after the journal/store exist, so the supervisor's retry has
     // real artifacts to resume — exactly what a mid-campaign crash
@@ -527,70 +489,8 @@ int cmdTable(std::vector<std::string> args) {
     throw Error("test failure injected by --test-fail-run");
   }
   std::vector<report::CellIncident> incidents;
-  const auto emit = [&](int n) {
-    switch (n) {
-      case 1: std::cout << report::buildTable1().renderAscii(); break;
-      case 2: std::cout << report::buildTable2().renderAscii(); break;
-      case 3: std::cout << report::buildTable3().renderAscii(); break;
-      case 4: {
-        const auto rows = report::computeTable4(opt, &incidents);
-        std::cout << report::renderTable4(rows, &incidents).renderAscii();
-        break;
-      }
-      case 5: {
-        const auto rows = report::computeTable5(opt, &incidents);
-        std::cout << report::renderTable5(rows, &incidents).renderAscii();
-        break;
-      }
-      case 6: {
-        const auto rows = report::computeTable6(opt, &incidents);
-        std::cout << report::renderTable6(rows, &incidents).renderAscii();
-        break;
-      }
-      case 7: {
-        const auto t5 = report::computeTable5(opt, &incidents);
-        const auto t6 = report::computeTable6(opt, &incidents);
-        std::cout << report::buildTable7(t5, t6, &incidents).renderAscii();
-        break;
-      }
-      case 8: std::cout << report::buildTable8().renderAscii(); break;
-      case 9: std::cout << report::buildTable9().renderAscii(); break;
-      default: throw Error("table number must be 1..9");
-    }
-    std::cout << '\n';
-  };
-  // The memlab families ride the same harness as the numbered tables, so
-  // `table sweep` / `table chase` are what shard and supervise workers
-  // exec; the top-level `nodebench sweep` / `nodebench chase` commands
-  // are aliases onto this path.
-  const auto emitFamily = [&](const std::string& family) {
-    if (family == "sweep") {
-      const auto rows = report::computeSweep(opt, &incidents);
-      std::cout << report::renderSweep(rows, &incidents).renderAscii();
-      if (const std::string chart = report::renderSweepChart(rows);
-          !chart.empty()) {
-        std::cout << '\n' << chart;
-      }
-    } else {
-      const auto rows = report::computeChase(opt, &incidents);
-      std::cout << report::renderChaseNs(rows, &incidents).renderAscii()
-                << '\n'
-                << report::renderChaseClk(rows, &incidents).renderAscii();
-      if (const std::string chart = report::renderChaseChart(rows);
-          !chart.empty()) {
-        std::cout << '\n' << chart;
-      }
-    }
-    std::cout << '\n';
-  };
-  if (which == "all") {
-    for (int n = 1; n <= 9; ++n) {
-      emit(n);
-    }
-  } else if (which == "sweep" || which == "chase") {
-    emitFamily(which);
-  } else {
-    emit(std::stoi(which));
+  for (const report::Family* family : selected) {
+    std::cout << family->render(opt, &incidents) << '\n';
   }
   // Fault-free runs collect no incidents, so stdout stays byte-identical
   // to the pre-resilience harness.
@@ -615,20 +515,26 @@ void printStream(const babelstream::RunResult& result) {
 
 int cmdStream(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
+  const std::optional<int> device = intFlagValue(args, "--device", 0);
+  rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
   }
   const machines::Machine& m = machines::byName(args[0]);
+  if (const int count = m.topology.gpuCount(); device && *device >= count) {
+    throw Error(count == 0 ? "--device needs an accelerated machine; " +
+                                 m.info.name + " has none"
+                           : "--device expects a device index 0.." +
+                                 std::to_string(count - 1) + " on " +
+                                 m.info.name + ", got " +
+                                 std::to_string(*device));
+  }
   babelstream::DriverConfig cfg;
   {
     const trace::Scope traceScope(m.info.name + "/babelstream");
     if (m.accelerated()) {
-      int device = 0;
-      if (const auto d = flagValue(args, "--device")) {
-        device = std::stoi(*d);
-      }
       cfg.arrayBytes = ByteCount::gib(1);
-      babelstream::SimDeviceBackend backend(m, device);
+      babelstream::SimDeviceBackend backend(m, device.value_or(0));
       std::cout << "BabelStream (device backend) on " << m.info.name << ":\n";
       printStream(babelstream::run(backend, cfg));
     } else {
@@ -646,18 +552,17 @@ int cmdStream(std::vector<std::string> args) {
 
 int cmdLatency(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
+  const std::string pair = flagValue(args, "--pair").value_or("on-socket");
+  osu::LatencyConfig cfg;
+  // An MPI message count is an int, so the int range is the real limit.
+  if (const auto size = intFlagValue(args, "--size", 0)) {
+    cfg.messageSize = ByteCount::bytes(static_cast<std::uint64_t>(*size));
+  }
+  rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
   }
   const machines::Machine& m = machines::byName(args[0]);
-  std::string pair = "on-socket";
-  if (const auto p = flagValue(args, "--pair")) {
-    pair = *p;
-  }
-  osu::LatencyConfig cfg;
-  if (const auto s = flagValue(args, "--size")) {
-    cfg.messageSize = ByteCount::bytes(std::stoull(*s));
-  }
 
   std::optional<osu::PlacementPair> ranks;
   auto kind = mpisim::BufferSpace::Kind::Host;
@@ -687,6 +592,7 @@ int cmdLatency(std::vector<std::string> args) {
 
 int cmdCommScope(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
+  rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
   }
@@ -714,7 +620,8 @@ int cmdCommScope(std::vector<std::string> args) {
   return 0;
 }
 
-int cmdDiff(std::vector<std::string> args) {
+int cmdDiff(const std::vector<std::string>& args) {
+  rejectLeftoverFlags(args);
   if (args.size() < 2) {
     return usage();
   }
@@ -783,6 +690,7 @@ int cmdDiff(std::vector<std::string> args) {
 
 int cmdCard(std::vector<std::string> args) {
   const bool json = flagPresent(args, "--json");
+  rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
   }
@@ -791,7 +699,8 @@ int cmdCard(std::vector<std::string> args) {
   return 0;
 }
 
-int cmdBalance() {
+int cmdBalance(const std::vector<std::string>& args) {
+  rejectLeftoverFlags(args);
   std::cout << report::renderBalance(report::computeBalance()).renderAscii();
   return 0;
 }
@@ -804,16 +713,13 @@ int cmdExport(std::vector<std::string> args) {
     plan = faults::FaultPlan::load(*planPath);
     opt.faults = &*plan;
   }
-  if (const auto runs = positiveFlagValue(args, "--runs")) {
+  if (const auto runs = intFlagValue(args, "--runs", 1)) {
     opt.binaryRuns = *runs;
   }
-  if (const auto jobs = positiveFlagValue(args, "--jobs")) {
+  if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
     opt.jobs = *jobs;
   }
-  std::string dir = "nodebench-export";
-  if (const auto d = flagValue(args, "--dir")) {
-    dir = *d;
-  }
+  const std::string dir = flagValue(args, "--dir").value_or("nodebench-export");
   const std::unique_ptr<campaign::ShardPlan> shardPlan =
       openShardPlan(args, opt);
   const bool resume =
@@ -846,16 +752,17 @@ int cmdExport(std::vector<std::string> args) {
 /// retransmit count the transport recovery performed.
 int cmdFaults(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
-  if (args.empty()) {
-    return usage();
-  }
   report::TableOptions opt;
   opt.binaryRuns = 25;  // demo default; --runs restores full methodology
-  if (const auto runs = positiveFlagValue(args, "--runs")) {
+  if (const auto runs = intFlagValue(args, "--runs", 1)) {
     opt.binaryRuns = *runs;
   }
-  if (const auto jobs = positiveFlagValue(args, "--jobs")) {
+  if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
     opt.jobs = *jobs;
+  }
+  rejectLeftoverFlags(args);
+  if (args.empty()) {
+    return usage();
   }
   const faults::FaultPlan plan = faults::FaultPlan::load(args[0]);
   opt.faults = &plan;
@@ -911,10 +818,9 @@ int cmdFaults(std::vector<std::string> args) {
 /// retransmit recovery — then writes the Chrome trace JSON (open in
 /// Perfetto: https://ui.perfetto.dev) and prints the metrics summary.
 int cmdTrace(std::vector<std::string> args) {
-  std::string outPath = "nodebench-trace.json";
-  if (const auto out = flagValue(args, "--out")) {
-    outPath = *out;
-  }
+  const std::string outPath =
+      flagValue(args, "--out").value_or("nodebench-trace.json");
+  rejectLeftoverFlags(args);
   const machines::Machine& m =
       machines::byName(args.empty() ? "Frontier" : args[0]);
   trace::Session session;
@@ -975,7 +881,7 @@ int cmdTrace(std::vector<std::string> args) {
 /// significant, material regression — CI-pipeline-friendly.
 int cmdCompare(std::vector<std::string> args, bool gate) {
   stats::CompareOptions copt;
-  if (const auto jobs = positiveFlagValue(args, "--jobs")) {
+  if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
     copt.jobs = *jobs;
   }
   if (const auto threshold = positiveDoubleFlagValue(args, "--threshold")) {
@@ -1037,35 +943,17 @@ std::vector<campaign::ShardGap> quarantineFromSupervisorJournal(
 int cmdMerge(std::vector<std::string> args) {
   const auto out = flagValue(args, "--out");
   if (!out) {
-    if (std::find(args.begin(), args.end(), "--out") != args.end()) {
-      throw Error("--out expects a value");
-    }
     throw Error("merge requires --out FILE (the merged journal path)");
   }
   const auto storeOut = flagValue(args, "--store-out");
-  if (!storeOut &&
-      std::find(args.begin(), args.end(), "--store-out") != args.end()) {
-    throw Error("--store-out expects a value");
-  }
   std::vector<std::string> storePaths;
   while (const auto s = flagValue(args, "--stores")) {
     storePaths.push_back(*s);
   }
-  if (std::find(args.begin(), args.end(), "--stores") != args.end()) {
-    throw Error("--stores expects a value");
-  }
   campaign::MergeOptions mopt;
   mopt.allowPartial = flagPresent(args, "--allow-partial");
   const auto gapOut = flagValue(args, "--gap-out");
-  if (!gapOut &&
-      std::find(args.begin(), args.end(), "--gap-out") != args.end()) {
-    throw Error("--gap-out expects a value");
-  }
   const auto supJournal = flagValue(args, "--supervisor-journal");
-  if (!supJournal && std::find(args.begin(), args.end(),
-                               "--supervisor-journal") != args.end()) {
-    throw Error("--supervisor-journal expects a value");
-  }
   rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
@@ -1124,91 +1012,49 @@ void onSuperviseSignal(int /*signo*/) { g_superviseStopFlag = 1; }
 /// coordinator (see supervise/supervisor.hpp for the protocol).
 int cmdSupervise(std::vector<std::string> args) {
   supervise::SuperviseOptions sopt;
-  if (const auto shards = positiveFlagValue(args, "--shards")) {
-    sopt.shards = static_cast<std::uint32_t>(*shards);
-  } else {
+  // Every count flag is positive; absent ones keep their defaults.
+  const auto count = [&](const std::string& flag, std::uint32_t& field) {
+    if (const auto v = intFlagValue(args, flag, 1)) {
+      field = static_cast<std::uint32_t>(*v);
+    }
+  };
+  const auto path = [&](const std::string& flag, std::string& field) {
+    if (const auto v = flagValue(args, flag)) {
+      field = *v;
+    }
+  };
+  count("--shards", sopt.shards);
+  if (sopt.shards == 0) {
     throw Error("supervise requires --shards N (the shard count)");
   }
-  if (const auto workers = positiveFlagValue(args, "--workers")) {
-    sopt.workers = static_cast<std::uint32_t>(*workers);
-  }
-  if (const auto journal = flagValue(args, "--journal")) {
-    sopt.journalBase = *journal;
-  } else {
-    if (std::find(args.begin(), args.end(), "--journal") != args.end()) {
-      throw Error("--journal expects a value");
-    }
+  count("--workers", sopt.workers);
+  path("--journal", sopt.journalBase);
+  if (sopt.journalBase.empty()) {
     throw Error("supervise requires --journal BASE (worker journals land "
                 "at BASE.shard<i>of<N>)");
   }
-  if (const auto store = flagValue(args, "--store")) {
-    sopt.storeBase = *store;
-  } else if (std::find(args.begin(), args.end(), "--store") != args.end()) {
-    throw Error("--store expects a value");
-  }
-  if (const auto path = flagValue(args, "--supervisor-journal")) {
-    sopt.supervisorJournalPath = *path;
-  } else if (std::find(args.begin(), args.end(), "--supervisor-journal") !=
-             args.end()) {
-    throw Error("--supervisor-journal expects a value");
-  }
-  if (const auto runs = positiveFlagValue(args, "--runs")) {
-    sopt.runs = static_cast<std::uint32_t>(*runs);
-  }
-  if (const auto jobs = positiveFlagValue(args, "--jobs")) {
-    sopt.jobs = static_cast<std::uint32_t>(*jobs);
-  }
-  if (const auto faults = flagValue(args, "--faults")) {
-    sopt.faultsPath = *faults;
-  } else if (std::find(args.begin(), args.end(), "--faults") != args.end()) {
-    throw Error("--faults expects a value");
-  }
-  if (const auto v = positiveFlagValue(args, "--max-attempts")) {
-    sopt.maxAttempts = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = positiveFlagValue(args, "--backoff-base-ms")) {
-    sopt.backoff.baseMs = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = positiveFlagValue(args, "--backoff-cap-ms")) {
-    sopt.backoff.capMs = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = positiveFlagValue(args, "--heartbeat-interval-ms")) {
-    sopt.heartbeatIntervalMs = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = positiveFlagValue(args, "--heartbeat-timeout-ms")) {
-    sopt.heartbeatTimeoutMs = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = positiveFlagValue(args, "--attempt-timeout-ms")) {
-    sopt.attemptTimeoutMs = static_cast<std::uint32_t>(*v);
-  }
+  path("--store", sopt.storeBase);
+  path("--supervisor-journal", sopt.supervisorJournalPath);
+  count("--runs", sopt.runs);
+  count("--jobs", sopt.jobs);
+  path("--faults", sopt.faultsPath);
+  count("--max-attempts", sopt.maxAttempts);
+  count("--backoff-base-ms", sopt.backoff.baseMs);
+  count("--backoff-cap-ms", sopt.backoff.capMs);
+  count("--heartbeat-interval-ms", sopt.heartbeatIntervalMs);
+  count("--heartbeat-timeout-ms", sopt.heartbeatTimeoutMs);
+  count("--attempt-timeout-ms", sopt.attemptTimeoutMs);
   sopt.resume = flagPresent(args, "--resume");
-  if (const auto out = flagValue(args, "--merge-out")) {
-    sopt.mergeOut = *out;
-  } else if (std::find(args.begin(), args.end(), "--merge-out") !=
-             args.end()) {
-    throw Error("--merge-out expects a value");
-  }
-  if (const auto out = flagValue(args, "--merge-store-out")) {
-    sopt.mergeStoreOut = *out;
-  } else if (std::find(args.begin(), args.end(), "--merge-store-out") !=
-             args.end()) {
-    throw Error("--merge-store-out expects a value");
-  }
-  if (const auto out = flagValue(args, "--gap-out")) {
-    sopt.gapOut = *out;
-  } else if (std::find(args.begin(), args.end(), "--gap-out") !=
-             args.end()) {
-    throw Error("--gap-out expects a value");
-  }
-  if (const auto v = positiveFlagValue(args, "--test-cell-delay-ms")) {
-    sopt.testCellDelayMs = static_cast<std::uint32_t>(*v);
-  }
+  path("--merge-out", sopt.mergeOut);
+  path("--merge-store-out", sopt.mergeStoreOut);
+  path("--gap-out", sopt.gapOut);
+  count("--test-cell-delay-ms", sopt.testCellDelayMs);
   // Hidden chaos hooks (see SuperviseOptions): deterministically poison
   // or stall one shard so the suite can prove quarantine + reassignment.
-  if (const auto v = nonNegativeFlagValue(args, "--test-poison-shard")) {
+  if (const auto v = intFlagValue(args, "--test-poison-shard", 0)) {
     sopt.testPoisonShard = *v;
   }
-  if (const auto v = nonNegativeFlagValue(args, "--test-stall-shard")) {
+  if (const auto v = intFlagValue(args, "--test-stall-shard", 0)) {
     sopt.testStallShard = *v;
   }
   rejectLeftoverFlags(args);
@@ -1242,12 +1088,10 @@ int cmdServe(std::vector<std::string> args) {
   serve::ServerOptions sopt;
   if (const auto socket = flagValue(args, "--socket")) {
     sopt.socketPath = *socket;
-  } else if (std::find(args.begin(), args.end(), "--socket") != args.end()) {
-    throw Error("--socket expects a value");
   }
   if (const auto port = flagValue(args, "--port")) {
-    // 0 is meaningful (ephemeral port, reported after bind), so this
-    // cannot reuse positiveFlagValue.
+    // 0 is meaningful (ephemeral port, reported after bind) and the
+    // range is bounded, hence not intFlagValue.
     std::size_t used = 0;
     int value = -1;
     try {
@@ -1260,31 +1104,26 @@ int cmdServe(std::vector<std::string> args) {
                   "'");
     }
     sopt.port = value;
-  } else if (std::find(args.begin(), args.end(), "--port") != args.end()) {
-    throw Error("--port expects a value");
   }
   if (const auto dir = flagValue(args, "--state-dir")) {
     sopt.stateDir = *dir;
-  } else if (std::find(args.begin(), args.end(), "--state-dir") !=
-             args.end()) {
-    throw Error("--state-dir expects a value");
   }
-  if (const auto v = positiveFlagValue(args, "--queue-depth")) {
+  if (const auto v = intFlagValue(args, "--queue-depth", 1)) {
     sopt.limits.maxQueueDepth = static_cast<std::size_t>(*v);
   }
-  if (const auto v = positiveFlagValue(args, "--tenant-queue")) {
+  if (const auto v = intFlagValue(args, "--tenant-queue", 1)) {
     sopt.limits.maxQueuedPerTenant = static_cast<std::size_t>(*v);
   }
-  if (const auto v = positiveFlagValue(args, "--tenant-inflight")) {
+  if (const auto v = intFlagValue(args, "--tenant-inflight", 1)) {
     sopt.limits.maxInflightPerTenant = static_cast<std::size_t>(*v);
   }
-  if (const auto v = positiveFlagValue(args, "--executors")) {
+  if (const auto v = intFlagValue(args, "--executors", 1)) {
     sopt.executorThreads = *v;
   }
-  if (const auto v = positiveFlagValue(args, "--io-threads")) {
+  if (const auto v = intFlagValue(args, "--io-threads", 1)) {
     sopt.ioThreads = *v;
   }
-  if (const auto v = positiveFlagValue(args, "--memo-max-entries")) {
+  if (const auto v = intFlagValue(args, "--memo-max-entries", 1)) {
     sopt.memoMaxEntries = static_cast<std::size_t>(*v);
   }
   sopt.resume = flagPresent(args, "--resume");
@@ -1320,10 +1159,9 @@ int cmdServe(std::vector<std::string> args) {
 }
 
 int cmdNative(std::vector<std::string> args) {
-  int threads = 0;
-  if (const auto t = flagValue(args, "--threads")) {
-    threads = std::stoi(*t);
-  }
+  // 0 lets the backend pick the hardware thread count.
+  const int threads = intFlagValue(args, "--threads", 0).value_or(0);
+  rejectLeftoverFlags(args);
   native::NativeStreamBackend backend(threads);
   babelstream::DriverConfig cfg;
   cfg.arrayBytes = ByteCount::mib(64);
@@ -1350,7 +1188,7 @@ int main(int argc, char** argv) {
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
     if (cmd == "list") {
-      return cmdList();
+      return cmdList(args);
     }
     if (cmd == "topo") {
       return cmdTopo(std::move(args));
@@ -1358,9 +1196,10 @@ int main(int argc, char** argv) {
     if (cmd == "table") {
       return cmdTable(std::move(args));
     }
-    if (cmd == "sweep" || cmd == "chase") {
-      // Aliases for `table sweep` / `table chase`: the memlab families
-      // share the table harness (and thus every campaign flag).
+    if (const report::Family* family = report::findFamily(cmd);
+        family != nullptr && !family->paperTable) {
+      // `nodebench sweep` aliases `table sweep` (likewise chase): the
+      // memlab families share the table harness and every campaign flag.
       args.insert(args.begin(), cmd);
       return cmdTable(std::move(args));
     }
@@ -1377,10 +1216,10 @@ int main(int argc, char** argv) {
       return cmdCard(std::move(args));
     }
     if (cmd == "diff") {
-      return cmdDiff(std::move(args));
+      return cmdDiff(args);
     }
     if (cmd == "balance") {
-      return cmdBalance();
+      return cmdBalance(args);
     }
     if (cmd == "export") {
       return cmdExport(std::move(args));

@@ -6,6 +6,7 @@
 #include "core/error.hpp"
 #include "core/json_value.hpp"
 #include "machines/registry.hpp"
+#include "report/family.hpp"
 #include "serve/json_writer.hpp"
 
 namespace nodebench::serve {
@@ -93,7 +94,8 @@ CampaignRequest CampaignRequest::fromJson(std::string_view text) {
   if (const JsonValue* v = doc.find("families")) {
     for (const JsonValue& entry : v->asArray()) {
       const std::string f = entry.asString();
-      if (f != "sweep" && f != "chase") {
+      const report::Family* family = report::findFamily(f);
+      if (family == nullptr || family->paperTable) {
         throw Error("\"families\" entries must be \"sweep\" or \"chase\", "
                     "got \"" + f + "\"");
       }

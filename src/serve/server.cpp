@@ -10,7 +10,7 @@
 
 #include "campaign/journal.hpp"
 #include "core/error.hpp"
-#include "report/memlab_report.hpp"
+#include "report/family.hpp"
 #include "serve/http.hpp"
 #include "serve/json_writer.hpp"
 #include "stats/store.hpp"
@@ -588,56 +588,12 @@ std::string Server::renderTables(const std::string& id,
         continue;
       }
     }
-    auto fresh = std::make_shared<MemoEntry>();
-    if (label == "sweep") {
-      const auto rows = report::computeSweep(opt, &fresh->incidents);
-      fresh->ascii = report::renderSweep(rows, &fresh->incidents).renderAscii();
-      if (const std::string chart = report::renderSweepChart(rows);
-          !chart.empty()) {
-        fresh->ascii += "\n" + chart;
-      }
-    } else if (label == "chase") {
-      const auto rows = report::computeChase(opt, &fresh->incidents);
-      fresh->ascii =
-          report::renderChaseNs(rows, &fresh->incidents).renderAscii() + "\n" +
-          report::renderChaseClk(rows, &fresh->incidents).renderAscii();
-      if (const std::string chart = report::renderChaseChart(rows);
-          !chart.empty()) {
-        fresh->ascii += "\n" + chart;
-      }
-    } else {
-      switch (std::stoi(label)) {
-        case 4:
-          fresh->ascii = report::renderTable4(
-                             report::computeTable4(opt, &fresh->incidents),
-                             &fresh->incidents)
-                             .renderAscii();
-          break;
-        case 5:
-          fresh->ascii = report::renderTable5(
-                             report::computeTable5(opt, &fresh->incidents),
-                             &fresh->incidents)
-                             .renderAscii();
-          break;
-        case 6:
-          fresh->ascii = report::renderTable6(
-                             report::computeTable6(opt, &fresh->incidents),
-                             &fresh->incidents)
-                             .renderAscii();
-          break;
-        case 7: {
-          // Table 7 is a digest of 5 and 6; within one request the shared
-          // journal replays any cells tables 5/6 already measured.
-          const auto t5 = report::computeTable5(opt, &fresh->incidents);
-          const auto t6 = report::computeTable6(opt, &fresh->incidents);
-          fresh->ascii =
-              report::buildTable7(t5, t6, &fresh->incidents).renderAscii();
-          break;
-        }
-        default:
-          throw Error("unsupported table " + label);
-      }
+    const report::Family* family = report::findFamily(label);
+    if (family == nullptr) {
+      throw Error("unsupported table " + label);
     }
+    auto fresh = std::make_shared<MemoEntry>();
+    fresh->ascii = family->render(opt, &fresh->incidents);
     if (!req.storeSamples) {
       // Sound because results are deterministic functions of the
       // measurement key; store-sample runs skip the cache so every such

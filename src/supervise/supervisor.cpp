@@ -24,7 +24,7 @@
 #include "core/deadline.hpp"
 #include "core/error.hpp"
 #include "faults/fault_plan.hpp"
-#include "report/tables.hpp"
+#include "report/family.hpp"
 #include "stats/merge.hpp"
 #include "supervise/heartbeat.hpp"
 #include "supervise/journal.hpp"
@@ -149,9 +149,9 @@ void killStaleWorker(std::uint64_t pid64, const std::string& shardJournal) {
 }  // namespace
 
 SuperviseResult runSupervise(const SuperviseOptions& options) {
-  if (options.table.empty()) {
-    throw Error("supervise requires a table selector");
-  }
+  // Before anything touches the disk: a bad selector would otherwise
+  // fail in every worker and quarantine every shard.
+  (void)report::selectFamilies(options.table);
   if (options.shards == 0) {
     throw Error("supervise requires --shards N (the shard count)");
   }

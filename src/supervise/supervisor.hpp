@@ -50,7 +50,7 @@ namespace nodebench::supervise {
 inline constexpr int kPartialCampaignExitCode = 44;
 
 struct SuperviseOptions {
-  std::string table;        ///< table selector ("4", "all", ...)
+  std::string table;        ///< table selector ("4", "all", "sweep", ...)
   std::uint32_t shards = 0;
   /// Concurrent worker slots (the bounded lease pool); 0 = one slot per
   /// shard (full fan-out).

@@ -10,9 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../report/direct_render.hpp"
 #include "core/json_value.hpp"
-#include "report/memlab_report.hpp"
-#include "report/tables.hpp"
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -405,46 +404,6 @@ TEST_F(ServeServerTest, DrainThenResumeProducesByteIdenticalResult) {
       << "resumed result must be byte-identical to an uninterrupted run";
 }
 
-/// The text the CLI's `table <label>` prints for one selector (minus the
-/// trailing newline), composed directly from the report layer.
-std::string referenceText(const std::string& label,
-                          const report::TableOptions& opt) {
-  std::vector<report::CellIncident> incidents;
-  const auto withChart = [](std::string text, const std::string& chart) {
-    return chart.empty() ? text : text + "\n" + chart;
-  };
-  if (label == "sweep") {
-    const auto rows = report::computeSweep(opt, &incidents);
-    return withChart(report::renderSweep(rows, &incidents).renderAscii(),
-                     report::renderSweepChart(rows));
-  }
-  if (label == "chase") {
-    const auto rows = report::computeChase(opt, &incidents);
-    return withChart(
-        report::renderChaseNs(rows, &incidents).renderAscii() + "\n" +
-            report::renderChaseClk(rows, &incidents).renderAscii(),
-        report::renderChaseChart(rows));
-  }
-  if (label == "4") {
-    return report::renderTable4(report::computeTable4(opt, &incidents),
-                                &incidents)
-        .renderAscii();
-  }
-  if (label == "5") {
-    return report::renderTable5(report::computeTable5(opt, &incidents),
-                                &incidents)
-        .renderAscii();
-  }
-  if (label == "6") {
-    return report::renderTable6(report::computeTable6(opt, &incidents),
-                                &incidents)
-        .renderAscii();
-  }
-  const auto t5 = report::computeTable5(opt, &incidents);
-  const auto t6 = report::computeTable6(opt, &incidents);
-  return report::buildTable7(t5, t6, &incidents).renderAscii();
-}
-
 TEST_F(ServeServerTest, ServedTextMatchesDirectReportComposition) {
   // Every label a request can name renders exactly the text the report
   // layer composes for it, so a served table and `nodebench table` agree.
@@ -471,7 +430,9 @@ TEST_F(ServeServerTest, ServedTextMatchesDirectReportComposition) {
   for (const std::string& label : labels) {
     const JsonValue* text = tables->find(label);
     ASSERT_NE(text, nullptr) << label;
-    EXPECT_EQ(text->asString(), referenceText(label, opt)) << label;
+    EXPECT_EQ(text->asString(),
+              report::directRenderText(label, opt))
+        << label;
   }
 }
 
