@@ -263,84 +263,102 @@ void installInterruptHandlers() {
   (void)std::signal(SIGTERM, onInterruptSignal);
 }
 
-/// Parses `--journal FILE` / `--resume` / `--crash-after-cell N` (the
-/// last a hidden crash-injection test hook) and opens the campaign
-/// journal. Must run after every other option lands in `opt`, because
-/// the journal header fingerprints the final configuration. All journal
-/// chatter goes to stderr so stdout stays byte-identical to a
-/// journal-less run.
-std::unique_ptr<campaign::Journal> openJournal(std::vector<std::string>& args,
-                                               report::TableOptions& opt) {
-  const auto path = flagValue(args, "--journal");
-  const bool resume = flagPresent(args, "--resume");
-  const auto crashAfter = intFlagValue(args, "--crash-after-cell", 1);
-  if (!path) {
-    if (resume) {
-      throw Error("--resume requires --journal FILE");
+/// The campaign flags `table` and `export` share: --faults, --runs,
+/// --jobs, --shard, --journal, --resume, --crash-after-cell (a hidden
+/// crash-injection test hook) and --store. The constructor consumes and
+/// checks them and sets the measurement options in `opt`; `open` creates
+/// the files. A command calls `open` only once every flag is parsed, the
+/// leftovers are rejected and the selector resolves, so a refused command
+/// line leaves nothing behind. Journal and store chatter goes to stderr
+/// so stdout stays byte-identical to a run without them.
+class CampaignFlags {
+ public:
+  CampaignFlags(std::vector<std::string>& args, report::TableOptions& opt) {
+    if (const auto planPath = flagValue(args, "--faults")) {
+      plan_ = faults::FaultPlan::load(*planPath);
+      opt.faults = &*plan_;
     }
-    if (crashAfter) {
-      throw Error("--crash-after-cell requires --journal FILE");
+    if (const auto runs = intFlagValue(args, "--runs", 1)) {
+      opt.binaryRuns = *runs;
     }
-    return nullptr;
-  }
-  const campaign::CampaignConfig cfg = report::campaignConfig(opt);
-  std::unique_ptr<campaign::Journal> journal;
-  if (resume) {
-    journal = campaign::Journal::resume(*path, cfg);
-    for (const std::string& warning : journal->warnings()) {
-      std::cerr << "nodebench: warning: " << warning << "\n";
+    if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
+      opt.jobs = *jobs;
     }
-    std::cerr << "nodebench: resuming campaign from " << *path << " ("
-              << journal->cellRecordCount() << " cell(s) already measured)\n";
-  } else {
-    journal = campaign::Journal::create(*path, cfg);
+    if (const auto spec = flagValue(args, "--shard")) {
+      shard_ = std::make_unique<campaign::ShardPlan>(
+          campaign::parseShardSpec(*spec));
+      opt.shard = shard_.get();
+    }
+    journalPath_ = flagValue(args, "--journal");
+    resume_ = flagPresent(args, "--resume");
+    crashAfter_ = intFlagValue(args, "--crash-after-cell", 1);
+    storePath_ = flagValue(args, "--store");
+    if (!journalPath_) {
+      if (resume_) {
+        throw Error("--resume requires --journal FILE");
+      }
+      if (crashAfter_) {
+        throw Error("--crash-after-cell requires --journal FILE");
+      }
+      // An unjournalled shard run would produce nothing `nodebench
+      // merge` could consume, which is never what the user meant.
+      if (shard_) {
+        throw Error("--shard requires --journal FILE (the shard journal is "
+                    "what `nodebench merge` consumes)");
+      }
+    }
   }
-  if (crashAfter) {
-    journal->setCrashAfterAppends(*crashAfter);
-  }
-  opt.journal = journal.get();
-  return journal;
-}
+  CampaignFlags(const CampaignFlags&) = delete;
+  CampaignFlags& operator=(const CampaignFlags&) = delete;
 
-/// Parses `--store FILE` and opens the statistical results store. Like
-/// openJournal, must run after every other option lands in `opt` (the
-/// store header fingerprints the final configuration). `resume` is the
-/// journal's --resume (peeked before openJournal consumes it): a resumed
-/// campaign reattaches its store — after validating the fingerprint —
-/// instead of refusing to overwrite it. Store chatter goes to stderr so
-/// stdout stays byte-identical to a store-less run.
-std::unique_ptr<stats::ResultStore> openStore(std::vector<std::string>& args,
-                                              report::TableOptions& opt,
-                                              bool resume) {
-  const auto path = flagValue(args, "--store");
-  if (!path) {
-    return nullptr;
+  /// Opens the journal and the store; both headers fingerprint the final
+  /// `opt`, so every other option must have landed first. A resumed
+  /// campaign reattaches its store (after validating the fingerprint)
+  /// instead of refusing to overwrite it. A journaled run also installs
+  /// the interrupt handlers that turn SIGINT/SIGTERM into a resumable
+  /// exit.
+  void open(report::TableOptions& opt) {
+    const campaign::CampaignConfig cfg = report::campaignConfig(opt);
+    if (journalPath_) {
+      if (resume_) {
+        journal_ = campaign::Journal::resume(*journalPath_, cfg);
+        for (const std::string& warning : journal_->warnings()) {
+          std::cerr << "nodebench: warning: " << warning << "\n";
+        }
+        std::cerr << "nodebench: resuming campaign from " << *journalPath_
+                  << " (" << journal_->cellRecordCount()
+                  << " cell(s) already measured)\n";
+      } else {
+        journal_ = campaign::Journal::create(*journalPath_, cfg);
+      }
+      if (crashAfter_) {
+        journal_->setCrashAfterAppends(*crashAfter_);
+      }
+      opt.journal = journal_.get();
+      installInterruptHandlers();
+      opt.cancel = &interruptToken();
+    }
+    if (storePath_) {
+      store_ = stats::ResultStore::attach(*storePath_, cfg, resume_);
+      if (resume_ && store_->recordCount() > 0) {
+        std::cerr << "nodebench: reattaching results store " << *storePath_
+                  << " (" << store_->recordCount()
+                  << " record(s) already stored)\n";
+      }
+      opt.store = store_.get();
+    }
   }
-  auto store =
-      stats::ResultStore::attach(*path, report::campaignConfig(opt), resume);
-  if (resume && store->recordCount() > 0) {
-    std::cerr << "nodebench: reattaching results store " << *path << " ("
-              << store->recordCount() << " record(s) already stored)\n";
-  }
-  opt.store = store.get();
-  return store;
-}
 
-/// Parses `--shard i/N` and builds the shard plan. Must run *before*
-/// openJournal (the journal header fingerprints the shard spec) and
-/// requires --journal — an unjournalled shard run would produce nothing
-/// `nodebench merge` could consume, which is never what the user meant.
-std::unique_ptr<campaign::ShardPlan> openShardPlan(
-    std::vector<std::string>& args, report::TableOptions& opt) {
-  const auto spec = flagValue(args, "--shard");
-  if (!spec) {
-    return nullptr;
-  }
-  auto plan =
-      std::make_unique<campaign::ShardPlan>(campaign::parseShardSpec(*spec));
-  opt.shard = plan.get();
-  return plan;
-}
+ private:
+  std::optional<faults::FaultPlan> plan_;
+  std::unique_ptr<campaign::ShardPlan> shard_;
+  std::optional<std::string> journalPath_;
+  bool resume_ = false;
+  std::optional<int> crashAfter_;
+  std::optional<std::string> storePath_;
+  std::unique_ptr<campaign::Journal> journal_;
+  std::unique_ptr<stats::ResultStore> store_;
+};
 
 /// Parsed `--trace FILE` / `--metrics` flags plus the live trace session
 /// they open. The session is heap-held (Session is pinned: it registers
@@ -419,17 +437,7 @@ int cmdTopo(std::vector<std::string> args) {
 int cmdTable(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
   report::TableOptions opt;
-  std::optional<faults::FaultPlan> plan;
-  if (const auto planPath = flagValue(args, "--faults")) {
-    plan = faults::FaultPlan::load(*planPath);
-    opt.faults = &*plan;
-  }
-  if (const auto runs = intFlagValue(args, "--runs", 1)) {
-    opt.binaryRuns = *runs;
-  }
-  if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
-    opt.jobs = *jobs;
-  }
+  CampaignFlags campaign(args, opt);
   // Hidden test hook (like --crash-after-cell): slow every cell so the
   // crash suite can land signals mid-campaign deterministically. Not
   // part of the campaign fingerprint — it changes timing, not results.
@@ -453,35 +461,19 @@ int cmdTable(std::vector<std::string> args) {
     throw Error("--test-heartbeat-stall-after requires --heartbeat FILE");
   }
   const bool testFailRun = flagPresent(args, "--test-fail-run");
-  const std::unique_ptr<campaign::ShardPlan> shardPlan =
-      openShardPlan(args, opt);
-  // Peek --resume before openJournal consumes it: the store reattach
-  // decision follows the journal's.
-  const bool resume =
-      std::find(args.begin(), args.end(), "--resume") != args.end();
-  const std::unique_ptr<campaign::Journal> journal = openJournal(args, opt);
-  if (shardPlan && !journal) {
-    throw Error("--shard requires --journal FILE (the shard journal is "
-                "what `nodebench merge` consumes)");
-  }
-  const std::unique_ptr<stats::ResultStore> store =
-      openStore(args, opt, resume);
-  if (journal) {
-    installInterruptHandlers();
-    opt.cancel = &interruptToken();
-  }
-  std::unique_ptr<supervise::HeartbeatWriter> heartbeat;
-  if (heartbeatFile) {
-    heartbeat = std::make_unique<supervise::HeartbeatWriter>(
-        *heartbeatFile, heartbeatIntervalMs,
-        stallAfter ? static_cast<std::uint64_t>(*stallAfter) : 0);
-  }
   rejectLeftoverFlags(args);
   if (args.empty()) {
     return usage();
   }
   const std::vector<const report::Family*> selected =
       report::selectFamilies(args[0]);
+  campaign.open(opt);
+  std::unique_ptr<supervise::HeartbeatWriter> heartbeat;
+  if (heartbeatFile) {
+    heartbeat = std::make_unique<supervise::HeartbeatWriter>(
+        *heartbeatFile, heartbeatIntervalMs,
+        stallAfter ? static_cast<std::uint64_t>(*stallAfter) : 0);
+  }
   if (testFailRun) {
     // Fires after the journal/store exist, so the supervisor's retry has
     // real artifacts to resume — exactly what a mid-campaign crash
@@ -708,34 +700,10 @@ int cmdBalance(const std::vector<std::string>& args) {
 int cmdExport(std::vector<std::string> args) {
   const TraceRequest tr = traceRequest(args);
   report::TableOptions opt;
-  std::optional<faults::FaultPlan> plan;
-  if (const auto planPath = flagValue(args, "--faults")) {
-    plan = faults::FaultPlan::load(*planPath);
-    opt.faults = &*plan;
-  }
-  if (const auto runs = intFlagValue(args, "--runs", 1)) {
-    opt.binaryRuns = *runs;
-  }
-  if (const auto jobs = intFlagValue(args, "--jobs", 1)) {
-    opt.jobs = *jobs;
-  }
+  CampaignFlags campaign(args, opt);
   const std::string dir = flagValue(args, "--dir").value_or("nodebench-export");
-  const std::unique_ptr<campaign::ShardPlan> shardPlan =
-      openShardPlan(args, opt);
-  const bool resume =
-      std::find(args.begin(), args.end(), "--resume") != args.end();
-  const std::unique_ptr<campaign::Journal> journal = openJournal(args, opt);
-  if (shardPlan && !journal) {
-    throw Error("--shard requires --journal FILE (the shard journal is "
-                "what `nodebench merge` consumes)");
-  }
-  const std::unique_ptr<stats::ResultStore> store =
-      openStore(args, opt, resume);
-  if (journal) {
-    installInterruptHandlers();
-    opt.cancel = &interruptToken();
-  }
   rejectLeftoverFlags(args);
+  campaign.open(opt);
   const auto manifest = report::exportAllTables(dir, opt);
   for (const auto& path : manifest.written) {
     std::cout << "wrote " << path.string() << "\n";
