@@ -155,39 +155,6 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
   }
 }
 
-/// Save/load lambda builders for the common one-Summary cell payloads.
-inline auto saveSummary(const Summary& s) {
-  return [&s](campaign::PayloadWriter& w) { campaign::putSummary(w, s); };
-}
-inline auto loadSummary(Summary& s) {
-  return [&s](campaign::PayloadReader& r) { s = campaign::readSummary(r); };
-}
-inline auto saveOptSummary(const std::optional<Summary>& s) {
-  return [&s](campaign::PayloadWriter& w) { campaign::putSummary(w, *s); };
-}
-inline auto loadOptSummary(std::optional<Summary>& s) {
-  return [&s](campaign::PayloadReader& r) { s = campaign::readSummary(r); };
-}
-
-/// Builds one store record from a measured cell. The store encoder
-/// enforces samples.size() == summary.count — every channel records
-/// exactly one value per binary run, so a full capture always matches.
-inline stats::SampleRecord sampleRecord(const CellIncident& slot,
-                                        std::string quantity, std::string unit,
-                                        stats::Better better,
-                                        const Summary& summary,
-                                        std::vector<double> samples) {
-  stats::SampleRecord rec;
-  rec.machine = slot.machine;
-  rec.cell = slot.cell;
-  rec.quantity = std::move(quantity);
-  rec.unit = std::move(unit);
-  rec.better = better;
-  rec.summary = summary;
-  rec.samples = std::move(samples);
-  return rec;
-}
-
 /// Keeps only the interesting incident slots (retried or failed cells),
 /// in task order, appending them to `out` when requested.
 inline void collectIncidents(std::vector<CellIncident> slots,
@@ -269,6 +236,132 @@ inline bool cellFailed(const std::vector<CellIncident>* incidents,
 
 inline std::string naOr(bool failed, std::string value) {
   return failed ? std::string("n/a") : std::move(value);
+}
+
+/// One task of a family's grid: the machine (an index into the family's
+/// machine list) and the canonical cell name. Families that need more per
+/// task (a cell kind, a link class, a grid point) derive from it.
+struct GridTask {
+  std::size_t machine = 0;
+  std::string cell;
+};
+
+/// What a store record of a cell measures.
+struct Quantity {
+  const char* name;
+  const char* unit;
+  stats::Better better;
+};
+
+/// A measured value and the sample-capture channel its raw draws landed
+/// in.
+struct Sampled {
+  Summary value;
+  std::string channel;
+};
+
+/// One task of runGrid, bound to its machine, cell name and incident
+/// slot. A family's `measure` calls exactly one of `run` (a cell with its
+/// own payload codec) or `summary` (the common one-Summary cell).
+class CellRun {
+ public:
+  CellRun(const TableOptions& opt, const machines::Machine& m,
+          const std::string& cell, CellIncident& slot)
+      : opt_(opt), m_(m), cell_(cell), slot_(slot) {}
+
+  /// The machine to measure: the registry machine, or its fault-perturbed
+  /// copy under a plan.
+  [[nodiscard]] const machines::Machine& machine() const { return m_; }
+
+  /// Runs the cell through runCell with an explicit journal codec;
+  /// `storeSave(capture)` writes the cell's store records via `record`.
+  template <typename Body, typename Save, typename Load, typename StoreSave>
+  void run(Body&& body, Save&& save, Load&& load, StoreSave&& storeSave) {
+    runCell(opt_, m_, cell_, slot_, body, save, load, storeSave);
+  }
+
+  /// Appends one store record of this cell. The store encoder enforces
+  /// samples.size() == summary.count — every channel records exactly one
+  /// value per binary run, so a full capture always matches.
+  void record(const Quantity& quantity, const Summary& summary,
+              std::vector<double> samples) const {
+    stats::SampleRecord rec;
+    rec.machine = slot_.machine;
+    rec.cell = slot_.cell;
+    rec.quantity = quantity.name;
+    rec.unit = quantity.unit;
+    rec.better = quantity.better;
+    rec.summary = summary;
+    rec.samples = std::move(samples);
+    opt_.store->append(std::move(rec));
+  }
+
+  /// The common cell: one Summary is the whole journal payload and one
+  /// store record of `quantity`. `measure(salt)` returns a Sampled;
+  /// `assign(value)` writes the value into the family's row. It runs only
+  /// for a measured or replayed cell, so a skipped cell leaves the row
+  /// untouched (an optional field stays disengaged).
+  template <typename Measure, typename Assign>
+  void summary(const Quantity& quantity, Measure&& measure, Assign&& assign) {
+    Summary value;
+    std::string channel;
+    run(
+        [&](std::uint64_t salt) {
+          Sampled s = measure(salt);
+          value = s.value;
+          channel = std::move(s.channel);
+          assign(value);
+        },
+        [&](campaign::PayloadWriter& w) { campaign::putSummary(w, value); },
+        [&](campaign::PayloadReader& r) {
+          value = campaign::readSummary(r);
+          assign(value);
+        },
+        [&](SampleCapture& cap) {
+          record(quantity, value, cap.take(channel));
+        });
+  }
+
+ private:
+  const TableOptions& opt_;
+  const machines::Machine& m_;
+  const std::string& cell_;
+  CellIncident& slot_;
+};
+
+/// Runs one family's (machine x cell) grid: the protocol every measured
+/// family shares. The task list is the one definition of the grid — its
+/// order and cell names are both the shard manifest registered under
+/// `label` and the journal record order of a --jobs 1 run, which is what
+/// `nodebench merge` reconstructs. Each task runs `measure(task, cell)`
+/// on the harness workers (opt.jobs) and writes only its own row fields
+/// and incident slot; afterwards a set cancel token throws, and the
+/// retried or failed cells are appended to `incidents` in task order.
+template <typename Task, typename Measure>
+void runGrid(const TableOptions& opt, const char* label,
+             const std::vector<const machines::Machine*>& ms,
+             const std::vector<Task>& tasks,
+             std::vector<CellIncident>* incidents, Measure&& measure) {
+  const MeasuredMachines measured(ms, opt.faults);
+  if (opt.shard != nullptr) {
+    std::vector<campaign::GridCell> grid;
+    grid.reserve(tasks.size());
+    for (const GridTask& task : tasks) {
+      grid.push_back({ms[task.machine]->info.name, task.cell});
+    }
+    opt.shard->registerTable(label, std::move(grid), opt.journal);
+  }
+  std::vector<CellIncident> slots(tasks.size());
+  par::parallelForEach(
+      tasks.size(),
+      [&](std::size_t t) {
+        CellRun cell(opt, measured.at(ms, tasks[t].machine), tasks[t].cell,
+                     slots[t]);
+        measure(tasks[t], cell);
+      },
+      opt.jobs);
+  throwIfCancelled(opt);
+  collectIncidents(std::move(slots), incidents);
 }
 
 }  // namespace nodebench::report::cellrun

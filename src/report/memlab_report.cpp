@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "babelstream/kernels.hpp"
-#include "campaign/shard.hpp"
-#include "core/parallel.hpp"
 #include "core/samples.hpp"
 #include "machines/registry.hpp"
 #include "report/ascii_chart.hpp"
@@ -19,13 +17,7 @@ using machines::Machine;
 namespace {
 
 using cellrun::cellFailed;
-using cellrun::collectIncidents;
-using cellrun::filteredMachines;
-using cellrun::MeasuredMachines;
 using cellrun::naOr;
-using cellrun::runCell;
-using cellrun::sampleRecord;
-using cellrun::throwIfCancelled;
 
 std::vector<const Machine*> allMachinePtrs() {
   std::vector<const Machine*> out;
@@ -69,7 +61,8 @@ Table comparisonTable(const std::vector<Row>& rows, const char* title,
   t.setAlign(0, Align::Left);
   const std::size_t points = rows.empty() ? 0 : rows.front().points.size();
   for (std::size_t j = 0; j < points; ++j) {
-    std::vector<std::string> cells{sizeLabel(rows.front().points[j].workingSet)};
+    std::vector<std::string> cells{
+        sizeLabel(rows.front().points[j].workingSet)};
     for (const Row& row : rows) {
       const bool failed =
           cellFailed(incidents, row.machine->info.name,
@@ -127,60 +120,66 @@ std::string chaseCellName(ByteCount workingSet) {
   return "chase " + std::to_string(workingSet.count());
 }
 
+namespace {
+
+/// One cell of a memlab grid: a machine and a working-set grid point.
+struct PointTask : cellrun::GridTask {
+  std::size_t point = 0;
+};
+
+/// Rows in machine order, each with its grid points' working sets filled
+/// in up front (`init(size)` builds one point), plus the (machine, point)
+/// task list in the same order. A skipped or failed cell keeps its
+/// working set, so the renderers always have the family's axis.
+template <typename Row, typename Init>
+std::vector<PointTask> pointGrid(const std::vector<const Machine*>& ms,
+                                 const std::vector<ByteCount>& grid,
+                                 std::string (*cellName)(ByteCount),
+                                 std::vector<Row>& rows, Init&& init) {
+  std::vector<PointTask> tasks;
+  tasks.reserve(ms.size() * grid.size());
+  rows.resize(ms.size());
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    rows[i].machine = ms[i];
+    for (std::size_t j = 0; j < grid.size(); ++j) {
+      rows[i].points.push_back(init(grid[j]));
+      tasks.push_back({{i, cellName(rows[i].points[j].workingSet)}, j});
+    }
+  }
+  return tasks;
+}
+
+}  // namespace
+
 std::vector<SweepRow> computeSweep(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
-  const auto ms = filteredMachines(allMachinePtrs(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
+  const auto ms = cellrun::filteredMachines(allMachinePtrs(), opt);
   memlab::SweepConfig base;
   base.binaryRuns = opt.binaryRuns;
   const std::vector<ByteCount> grid = memlab::sweepGrid(base);
-  std::vector<SweepRow> rows(ms.size());
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    rows[i].machine = ms[i];
-    rows[i].points.resize(grid.size());
-  }
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> cells;
-    cells.reserve(ms.size() * grid.size());
-    for (const Machine* m : ms) {
-      for (const ByteCount size : grid) {
-        cells.push_back({m->info.name, sweepCellName(size * 3ull)});
-      }
-    }
-    opt.shard->registerTable("sweep", std::move(cells), opt.journal);
-  }
-  std::vector<CellIncident> slots(ms.size() * grid.size());
-  par::parallelForEach(
-      slots.size(),
-      [&](std::size_t task) {
-        const std::size_t mi = task / grid.size();
-        const std::size_t j = task % grid.size();
-        const Machine& m = measured.at(ms, mi);
-        memlab::SweepPoint& point = rows[mi].points[j];
-        runCell(opt, m, sweepCellName(grid[j] * 3ull), slots[task],
-                [&](std::uint64_t salt) {
-                  memlab::SweepConfig cfg = base;
-                  cfg.seedSalt = salt;
-                  point = memlab::measureSweepPoint(m, grid[j], cfg);
-                },
-                [&](campaign::PayloadWriter& w) {
-                  campaign::putSummary(w, point.bandwidthGBps);
-                },
-                [&](campaign::PayloadReader& r) {
-                  point = memlab::SweepPoint{grid[j], grid[j] * 3ull,
-                                             campaign::readSummary(r)};
-                },
-                [&](SampleCapture& cap) {
-                  opt.store->append(sampleRecord(
-                      slots[task], memlab::kSweepQuantity, "GB/s",
-                      stats::Better::Higher, point.bandwidthGBps,
-                      cap.take(std::string(babelstream::streamOpName(
-                          babelstream::StreamOp::Triad)))));
-                });
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+  std::vector<SweepRow> rows;
+  const std::vector<PointTask> tasks =
+      pointGrid(ms, grid, sweepCellName, rows, [](ByteCount arrayBytes) {
+        return memlab::SweepPoint{arrayBytes, arrayBytes * 3ull, {}};
+      });
+  cellrun::runGrid(
+      opt, "sweep", ms, tasks, incidents,
+      [&](const PointTask& task, cellrun::CellRun& cell) {
+        memlab::SweepPoint& point = rows[task.machine].points[task.point];
+        cell.summary(
+            {memlab::kSweepQuantity, "GB/s", stats::Better::Higher},
+            [&](std::uint64_t salt) {
+              memlab::SweepConfig cfg = base;
+              cfg.seedSalt = salt;
+              return cellrun::Sampled{
+                  memlab::measureSweepPoint(cell.machine(), point.arrayBytes,
+                                            cfg)
+                      .bandwidthGBps,
+                  std::string(babelstream::streamOpName(
+                      babelstream::StreamOp::Triad))};
+            },
+            [&](const Summary& v) { point.bandwidthGBps = v; });
+      });
   return rows;
 }
 
@@ -202,59 +201,41 @@ std::string renderSweepChart(const std::vector<SweepRow>& rows) {
 
 std::vector<ChaseRow> computeChase(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
-  const auto ms = filteredMachines(allMachinePtrs(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
+  const auto ms = cellrun::filteredMachines(allMachinePtrs(), opt);
   memlab::ChaseConfig base;
   base.binaryRuns = opt.binaryRuns;
   const std::vector<ByteCount> grid = memlab::chaseGrid(base);
-  std::vector<ChaseRow> rows(ms.size());
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    rows[i].machine = ms[i];
-    rows[i].points.resize(grid.size());
-  }
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> cells;
-    cells.reserve(ms.size() * grid.size());
-    for (const Machine* m : ms) {
-      for (const ByteCount size : grid) {
-        cells.push_back({m->info.name, chaseCellName(size)});
-      }
-    }
-    opt.shard->registerTable("chase", std::move(cells), opt.journal);
-  }
-  std::vector<CellIncident> slots(ms.size() * grid.size());
-  par::parallelForEach(
-      slots.size(),
-      [&](std::size_t task) {
-        const std::size_t mi = task / grid.size();
-        const std::size_t j = task % grid.size();
-        const Machine& m = measured.at(ms, mi);
-        memlab::ChasePoint& point = rows[mi].points[j];
-        runCell(opt, m, chaseCellName(grid[j]), slots[task],
-                [&](std::uint64_t salt) {
-                  memlab::ChaseConfig cfg = base;
-                  cfg.seedSalt = salt;
-                  point = memlab::measureChasePoint(m, grid[j], cfg);
-                },
-                [&](campaign::PayloadWriter& w) {
-                  campaign::putSummary(w, point.nsPerAccess);
-                  campaign::putSummary(w, point.clkPerOp);
-                },
-                [&](campaign::PayloadReader& r) {
-                  point.workingSet = grid[j];
-                  point.nsPerAccess = campaign::readSummary(r);
-                  point.clkPerOp = campaign::readSummary(r);
-                },
-                [&](SampleCapture& cap) {
-                  opt.store->append(sampleRecord(
-                      slots[task], memlab::kChaseSampleChannel, "ns",
-                      stats::Better::Lower, point.nsPerAccess,
-                      cap.take(memlab::kChaseSampleChannel)));
-                });
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+  std::vector<ChaseRow> rows;
+  const std::vector<PointTask> tasks =
+      pointGrid(ms, grid, chaseCellName, rows, [](ByteCount workingSet) {
+        return memlab::ChasePoint{workingSet, {}, {}};
+      });
+  cellrun::runGrid(
+      opt, "chase", ms, tasks, incidents,
+      [&](const PointTask& task, cellrun::CellRun& cell) {
+        // Two payload fields, one store record (ns per access).
+        memlab::ChasePoint& point = rows[task.machine].points[task.point];
+        cell.run(
+            [&](std::uint64_t salt) {
+              memlab::ChaseConfig cfg = base;
+              cfg.seedSalt = salt;
+              point = memlab::measureChasePoint(cell.machine(),
+                                                point.workingSet, cfg);
+            },
+            [&](campaign::PayloadWriter& w) {
+              campaign::putSummary(w, point.nsPerAccess);
+              campaign::putSummary(w, point.clkPerOp);
+            },
+            [&](campaign::PayloadReader& r) {
+              point.nsPerAccess = campaign::readSummary(r);
+              point.clkPerOp = campaign::readSummary(r);
+            },
+            [&](SampleCapture& cap) {
+              cell.record(
+                  {memlab::kChaseSampleChannel, "ns", stats::Better::Lower},
+                  point.nsPerAccess, cap.take(memlab::kChaseSampleChannel));
+            });
+      });
   return rows;
 }
 

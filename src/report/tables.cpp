@@ -1,16 +1,13 @@
 #include "report/tables.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "babelstream/driver.hpp"
 #include "babelstream/sim_device_backend.hpp"
 #include "babelstream/sim_omp_backend.hpp"
 #include "campaign/fingerprint.hpp"
-#include "campaign/shard.hpp"
 #include "commscope/commscope.hpp"
 #include "core/parallel.hpp"
 #include "core/samples.hpp"
@@ -21,28 +18,14 @@
 #include "osu/pairs.hpp"
 #include "report/cell_runner.hpp"
 #include "stats/store.hpp"
-#include "trace/trace.hpp"
 
 namespace nodebench::report {
 
 using machines::Machine;
 using topo::LinkClass;
-
-// The shared cell harness (extracted to cell_runner.hpp so the memlab
-// families reuse it); tables.cpp predates the split, so pull the names
-// back in unqualified.
+using Buffers = mpisim::BufferSpace::Kind;
 using cellrun::cellFailed;
-using cellrun::collectIncidents;
-using cellrun::filteredMachines;
-using cellrun::loadOptSummary;
-using cellrun::loadSummary;
-using cellrun::MeasuredMachines;
 using cellrun::naOr;
-using cellrun::runCell;
-using cellrun::sampleRecord;
-using cellrun::saveOptSummary;
-using cellrun::saveSummary;
-using cellrun::throwIfCancelled;
 
 namespace {
 
@@ -58,18 +41,225 @@ constexpr const char* kCellLaunch = "kernel launch";
 constexpr const char* kCellWait = "sync wait";
 constexpr const char* kCellHdLatency = "H<->D latency";
 constexpr const char* kCellHdBandwidth = "H<->D bandwidth";
-
 // The OSU (Table 5) and Comm|Scope (Table 6) D2D cells measure different
 // things, so they get distinct names — an incident in one must not mark
-// the other as failed.
-std::string d2dMpiCellName(LinkClass c) {
-  return std::string("D2D MPI latency class ") +
+// the other as failed. Each is one cell per link class (classCellName).
+constexpr const char* kCellD2dMpi = "D2D MPI latency";
+constexpr const char* kCellD2dCopy = "D2D copy latency";
+
+std::string classCellName(const char* base, LinkClass c) {
+  return std::string(base) + " class " +
          static_cast<char>('A' + static_cast<int>(c));
 }
 
-std::string d2dCopyCellName(LinkClass c) {
-  return std::string("D2D copy latency class ") +
-         static_cast<char>('A' + static_cast<int>(c));
+constexpr cellrun::Quantity kLatencyUs{"latency", "us", stats::Better::Lower};
+constexpr cellrun::Quantity kBandwidthGBps{"bandwidth", "GB/s",
+                                           stats::Better::Higher};
+
+/// One kind of one-Summary cell of a measured table: its canonical name,
+/// its store quantity, how it is measured and which row field it fills.
+/// A per-class kind repeats once per GPU link class present on the
+/// machine, named by classCellName; `measure` and `assign` get the class
+/// (LinkClass::None for the other kinds).
+template <typename Row>
+struct SummaryKind {
+  const char* cell;
+  bool perLinkClass;
+  cellrun::Quantity quantity;
+  cellrun::Sampled (*measure)(const Machine&, const TableOptions&, LinkClass,
+                              std::uint64_t salt);
+  void (*assign)(Row&, LinkClass, const Summary&);
+};
+
+/// One task of a SummaryKind table. Table 4's host bandwidth cell is the
+/// one task without a kind.
+template <typename Row>
+struct KindTask : cellrun::GridTask {
+  const SummaryKind<Row>* kind = nullptr;
+  LinkClass linkClass = LinkClass::None;
+};
+
+/// Appends one machine's cells of `kinds`, in kind order. The grid is
+/// always the *registry* machine's — a fault plan never changes a
+/// table's shape, only which cells degrade to "n/a". Enumeration also
+/// primes each topology's route cache before the fan-out.
+template <typename Row, std::size_t N>
+void appendKindTasks(std::vector<KindTask<Row>>& tasks, std::size_t machine,
+                     const Machine& m, const SummaryKind<Row> (&kinds)[N]) {
+  for (const SummaryKind<Row>& kind : kinds) {
+    if (!kind.perLinkClass) {
+      tasks.push_back({{machine, kind.cell}, &kind, LinkClass::None});
+      continue;
+    }
+    for (const LinkClass c : m.topology.presentGpuLinkClasses()) {
+      tasks.push_back({{machine, classCellName(kind.cell, c)}, &kind, c});
+    }
+  }
+}
+
+template <typename Row>
+void measureKind(const TableOptions& opt, const KindTask<Row>& task,
+                 cellrun::CellRun& cell, Row& row) {
+  const SummaryKind<Row>& kind = *task.kind;
+  cell.summary(
+      kind.quantity,
+      [&](std::uint64_t salt) {
+        return kind.measure(cell.machine(), opt, task.linkClass, salt);
+      },
+      [&](const Summary& v) { kind.assign(row, task.linkClass, v); });
+}
+
+/// OSU ping-pong latency between `ranks`: every MPI latency cell of
+/// Tables 4 and 5.
+cellrun::Sampled osuLatency(const Machine& m, const TableOptions& opt,
+                            const osu::PlacementPair& ranks, Buffers buffers,
+                            std::uint64_t salt) {
+  osu::LatencyConfig cfg;
+  cfg.messageSize = opt.mpiMessageSize;
+  cfg.binaryRuns = opt.binaryRuns;
+  cfg.seed ^= salt;
+  return {osu::LatencyBenchmark(m, ranks.first, ranks.second, buffers)
+              .measure(cfg)
+              .latencyUs,
+          osu::kLatencySampleChannel};
+}
+
+/// One Comm|Scope quantity, measured by its own scope instance: the truth
+/// methods reset the simulated runtime before measuring and the aggregate
+/// noise streams are seeded from the cell identity alone, so a per-cell
+/// instance reports exactly what a shared-instance measureAll() sequence
+/// reports.
+template <typename Fn>
+cellrun::Sampled commScope(const Machine& m, const TableOptions& opt,
+                           std::uint64_t salt, const char* channel, Fn&& fn) {
+  commscope::CommScope scope(m);
+  commscope::Config cfg;
+  cfg.binaryRuns = opt.binaryRuns;
+  cfg.seed ^= salt;
+  return {fn(scope, cfg), channel};
+}
+
+using commscope::CommScope;
+using CommScopeConfig = commscope::Config;
+
+const SummaryKind<Cpu4Row> kTable4Latencies[] = {
+    {kCellOnSocket, false, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return osuLatency(m, opt, osu::onSocketPair(m), Buffers::Host, salt);
+     },
+     [](Cpu4Row& r, LinkClass, const Summary& v) { r.onSocketUs = v; }},
+    {kCellOnNode, false, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return osuLatency(m, opt, osu::onNodePair(m), Buffers::Host, salt);
+     },
+     [](Cpu4Row& r, LinkClass, const Summary& v) { r.onNodeUs = v; }},
+};
+
+const SummaryKind<Gpu5Row> kTable5Kinds[] = {
+    {kCellDeviceBandwidth, false, kBandwidthGBps,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       babelstream::SimDeviceBackend backend(m, /*device=*/0);
+       babelstream::DriverConfig dcfg;
+       dcfg.arrayBytes = opt.gpuArrayBytes;
+       dcfg.binaryRuns = opt.binaryRuns;
+       dcfg.seed ^= m.seed ^ salt;
+       const babelstream::RunResult result = babelstream::run(backend, dcfg);
+       const auto& best = result.best();
+       // The winning STREAM op's channel holds the raw draws.
+       return cellrun::Sampled{
+           best.bandwidthGBps, std::string(babelstream::streamOpName(best.op))};
+     },
+     [](Gpu5Row& r, LinkClass, const Summary& v) { r.deviceGBps = v; }},
+    {kCellHostToHost, false, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return osuLatency(m, opt, osu::onSocketPair(m), Buffers::Host, salt);
+     },
+     [](Gpu5Row& r, LinkClass, const Summary& v) { r.hostToHostUs = v; }},
+    {kCellD2dMpi, true, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass c,
+        std::uint64_t salt) {
+       return osuLatency(m, opt, osu::devicePair(m, c), Buffers::Device, salt);
+     },
+     [](Gpu5Row& r, LinkClass c, const Summary& v) {
+       r.deviceToDeviceUs[static_cast<int>(c)] = v;
+     }},
+};
+
+const SummaryKind<Gpu6Row> kTable6Kinds[] = {
+    {kCellLaunch, false, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return commScope(m, opt, salt, commscope::kLaunchSampleChannel,
+                        [](CommScope& s, const CommScopeConfig& cfg) {
+                          return s.kernelLaunchUs(cfg);
+                        });
+     },
+     [](Gpu6Row& r, LinkClass, const Summary& v) { r.launchUs = v; }},
+    {kCellWait, false, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return commScope(m, opt, salt, commscope::kWaitSampleChannel,
+                        [](CommScope& s, const CommScopeConfig& cfg) {
+                          return s.syncWaitUs(cfg);
+                        });
+     },
+     [](Gpu6Row& r, LinkClass, const Summary& v) { r.waitUs = v; }},
+    {kCellHdLatency, false, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return commScope(m, opt, salt, commscope::kHdLatencySampleChannel,
+                        [](CommScope& s, const CommScopeConfig& cfg) {
+                          return s.hostDeviceLatencyUs(cfg);
+                        });
+     },
+     [](Gpu6Row& r, LinkClass, const Summary& v) {
+       r.hostDeviceLatencyUs = v;
+     }},
+    {kCellHdBandwidth, false, kBandwidthGBps,
+     [](const Machine& m, const TableOptions& opt, LinkClass,
+        std::uint64_t salt) {
+       return commScope(m, opt, salt, commscope::kHdBandwidthSampleChannel,
+                        [](CommScope& s, const CommScopeConfig& cfg) {
+                          return s.hostDeviceBandwidthGBps(cfg);
+                        });
+     },
+     [](Gpu6Row& r, LinkClass, const Summary& v) {
+       r.hostDeviceBandwidthGBps = v;
+     }},
+    {kCellD2dCopy, true, kLatencyUs,
+     [](const Machine& m, const TableOptions& opt, LinkClass c,
+        std::uint64_t salt) {
+       return commScope(m, opt, salt, commscope::kD2dLatencySampleChannel,
+                        [c](CommScope& s, const CommScopeConfig& cfg) {
+                          return s.d2dLatencyUs(c, cfg);
+                        });
+     },
+     [](Gpu6Row& r, LinkClass c, const Summary& v) {
+       r.d2dLatencyUs[static_cast<int>(c)] = v;
+     }},
+};
+
+/// Tables 5 and 6: every cell of every GPU machine is a SummaryKind row.
+template <typename Row, std::size_t N>
+std::vector<Row> computeGpuTable(const TableOptions& opt, const char* label,
+                                 const SummaryKind<Row> (&kinds)[N],
+                                 std::vector<CellIncident>* incidents) {
+  const auto ms = cellrun::filteredMachines(machines::gpuMachines(), opt);
+  std::vector<Row> rows(ms.size());
+  std::vector<KindTask<Row>> tasks;
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    rows[i].machine = ms[i];
+    appendKindTasks(tasks, i, *ms[i], kinds);
+  }
+  cellrun::runGrid(opt, label, ms, tasks, incidents,
+                   [&](const KindTask<Row>& task, cellrun::CellRun& cell) {
+                     measureKind(opt, task, cell, rows[task.machine]);
+                   });
+  return rows;
 }
 
 }  // namespace
@@ -220,119 +410,54 @@ OmpSweepResult ompSweep(const Machine& m, const TableOptions& opt,
 
 std::vector<Cpu4Row> computeTable4(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
-  const auto ms = filteredMachines(machines::cpuMachines(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
+  const auto ms = cellrun::filteredMachines(machines::cpuMachines(), opt);
   std::vector<Cpu4Row> rows(ms.size());
+  std::vector<KindTask<Cpu4Row>> tasks;
   for (std::size_t i = 0; i < ms.size(); ++i) {
     rows[i].machine = ms[i];
+    tasks.push_back({{i, kCellHostBandwidth}, nullptr, LinkClass::None});
+    appendKindTasks(tasks, i, *ms[i], kTable4Latencies);
   }
-  if (opt.shard != nullptr) {
-    // The grid in task-enumeration order — the record order a --jobs 1
-    // journal run writes, which is what the merge reconstructs.
-    std::vector<campaign::GridCell> grid;
-    grid.reserve(ms.size() * 3);
-    for (const Machine* m : ms) {
-      grid.push_back({m->info.name, kCellHostBandwidth});
-      grid.push_back({m->info.name, kCellOnSocket});
-      grid.push_back({m->info.name, kCellOnNode});
-    }
-    opt.shard->registerTable("table 4", std::move(grid), opt.journal);
-  }
-  // Three independent cells per machine; each task writes distinct fields
-  // of its pre-allocated row (and its own incident slot). The sweep runs
-  // its configs inline here (nested sections stay sequential) — the
-  // machine fan-out already feeds every worker.
-  std::vector<CellIncident> slots(ms.size() * 3);
-  par::parallelForEach(
-      slots.size(),
-      [&](std::size_t task) {
-        const Machine& m = measured.at(ms, task / 3);
-        Cpu4Row& row = rows[task / 3];
-        osu::LatencyConfig lcfg;
-        lcfg.messageSize = opt.mpiMessageSize;
-        lcfg.binaryRuns = opt.binaryRuns;
-        switch (task % 3) {
-          case 0: {
-            // The sweep's winning sample vectors, stashed by the body for
-            // the storeSave below (the host bandwidth cell is the one cell
-            // that yields two store records).
-            std::vector<double> singleSamples;
-            std::vector<double> allSamples;
-            runCell(opt, m, kCellHostBandwidth, slots[task],
-                    [&](std::uint64_t salt) {
-                      OmpSweepResult sweep = ompSweep(m, opt, salt);
-                      row.singleGBps = sweep.bestSingle;
-                      row.allGBps = sweep.bestAll;
-                      singleSamples = std::move(sweep.bestSingleSamples);
-                      allSamples = std::move(sweep.bestAllSamples);
-                    },
-                    [&](campaign::PayloadWriter& w) {
-                      campaign::putSummary(w, row.singleGBps);
-                      campaign::putSummary(w, row.allGBps);
-                    },
-                    [&](campaign::PayloadReader& r) {
-                      row.singleGBps = campaign::readSummary(r);
-                      row.allGBps = campaign::readSummary(r);
-                    },
-                    [&](SampleCapture&) {
-                      opt.store->append(sampleRecord(
-                          slots[task], "single-thread bandwidth", "GB/s",
-                          stats::Better::Higher, row.singleGBps,
-                          std::move(singleSamples)));
-                      opt.store->append(sampleRecord(
-                          slots[task], "full-team bandwidth", "GB/s",
-                          stats::Better::Higher, row.allGBps,
-                          std::move(allSamples)));
-                    });
-            break;
-          }
-          case 1:
-            runCell(opt, m, kCellOnSocket, slots[task],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [sockA, sockB] = osu::onSocketPair(m);
-                      row.onSocketUs =
-                          osu::LatencyBenchmark(m, sockA, sockB,
-                                                mpisim::BufferSpace::Kind::Host)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveSummary(row.onSocketUs), loadSummary(row.onSocketUs),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
-                          slots[task], "latency", "us", stats::Better::Lower,
-                          row.onSocketUs,
-                          cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          case 2:
-            runCell(opt, m, kCellOnNode, slots[task],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [nodeA, nodeB] = osu::onNodePair(m);
-                      row.onNodeUs =
-                          osu::LatencyBenchmark(m, nodeA, nodeB,
-                                                mpisim::BufferSpace::Kind::Host)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveSummary(row.onNodeUs), loadSummary(row.onNodeUs),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
-                          slots[task], "latency", "us", stats::Better::Lower,
-                          row.onNodeUs,
-                          cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          default:
-            break;
+  cellrun::runGrid(
+      opt, "table 4", ms, tasks, incidents,
+      [&](const KindTask<Cpu4Row>& task, cellrun::CellRun& cell) {
+        Cpu4Row& row = rows[task.machine];
+        if (task.kind != nullptr) {
+          measureKind(opt, task, cell, row);
+          return;
         }
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+        // The host bandwidth cell journals two summaries and writes two
+        // store records: the sweep's winning sample vectors are stashed
+        // by the body for the store step. The sweep runs its configs
+        // inline here (nested sections stay sequential) — the machine
+        // fan-out already feeds every worker.
+        std::vector<double> singleSamples;
+        std::vector<double> allSamples;
+        cell.run(
+            [&](std::uint64_t salt) {
+              OmpSweepResult sweep = ompSweep(cell.machine(), opt, salt);
+              row.singleGBps = sweep.bestSingle;
+              row.allGBps = sweep.bestAll;
+              singleSamples = std::move(sweep.bestSingleSamples);
+              allSamples = std::move(sweep.bestAllSamples);
+            },
+            [&](campaign::PayloadWriter& w) {
+              campaign::putSummary(w, row.singleGBps);
+              campaign::putSummary(w, row.allGBps);
+            },
+            [&](campaign::PayloadReader& r) {
+              row.singleGBps = campaign::readSummary(r);
+              row.allGBps = campaign::readSummary(r);
+            },
+            [&](SampleCapture&) {
+              cell.record({"single-thread bandwidth", "GB/s",
+                           stats::Better::Higher},
+                          row.singleGBps, std::move(singleSamples));
+              cell.record({"full-team bandwidth", "GB/s",
+                           stats::Better::Higher},
+                          row.allGBps, std::move(allSamples));
+            });
+      });
   return rows;
 }
 
@@ -368,149 +493,9 @@ Table renderTable4(const std::vector<Cpu4Row>& rows,
   return t;
 }
 
-namespace {
-
-/// One (machine, cell) work item of the GPU-table fan-outs. `linkClass`
-/// is meaningful only for the per-class D2D cells.
-struct GpuCellTask {
-  std::size_t machineIdx = 0;
-  int kind = 0;
-  LinkClass linkClass = LinkClass::None;
-};
-
-}  // namespace
-
 std::vector<Gpu5Row> computeTable5(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
-  const auto ms = filteredMachines(machines::gpuMachines(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
-  std::vector<Gpu5Row> rows(ms.size());
-
-  // Enumerate the (machine x cell) grid up front; the present link
-  // classes differ per machine, so the task list is ragged. The grid is
-  // always the *registry* machine's — a fault plan never changes the
-  // table's shape, only which cells degrade to "n/a". Enumeration also
-  // primes each topology's route cache before the fan-out.
-  enum { kBabelstream = 0, kHostLatency = 1, kDeviceLatency = 2 };
-  std::vector<GpuCellTask> tasks;
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    rows[i].machine = ms[i];
-    tasks.push_back({i, kBabelstream, LinkClass::None});
-    tasks.push_back({i, kHostLatency, LinkClass::None});
-    for (const LinkClass c : ms[i]->topology.presentGpuLinkClasses()) {
-      tasks.push_back({i, kDeviceLatency, c});
-    }
-  }
-
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> grid;
-    grid.reserve(tasks.size());
-    for (const GpuCellTask& task : tasks) {
-      const std::string& machine = ms[task.machineIdx]->info.name;
-      switch (task.kind) {
-        case kBabelstream:
-          grid.push_back({machine, kCellDeviceBandwidth});
-          break;
-        case kHostLatency:
-          grid.push_back({machine, kCellHostToHost});
-          break;
-        default:
-          grid.push_back({machine, d2dMpiCellName(task.linkClass)});
-          break;
-      }
-    }
-    opt.shard->registerTable("table 5", std::move(grid), opt.journal);
-  }
-
-  std::vector<CellIncident> slots(tasks.size());
-  par::parallelForEach(
-      tasks.size(),
-      [&](std::size_t t) {
-        const GpuCellTask& task = tasks[t];
-        const Machine& m = measured.at(ms, task.machineIdx);
-        Gpu5Row& row = rows[task.machineIdx];
-        osu::LatencyConfig lcfg;
-        lcfg.messageSize = opt.mpiMessageSize;
-        lcfg.binaryRuns = opt.binaryRuns;
-        switch (task.kind) {
-          case kBabelstream: {
-            // Winning STREAM op, stashed by the body so storeSave can pull
-            // that op's raw-sample channel.
-            std::string bestOp;
-            runCell(opt, m, kCellDeviceBandwidth, slots[t],
-                    [&](std::uint64_t salt) {
-                      babelstream::SimDeviceBackend backend(m, /*device=*/0);
-                      babelstream::DriverConfig dcfg;
-                      dcfg.arrayBytes = opt.gpuArrayBytes;
-                      dcfg.binaryRuns = opt.binaryRuns;
-                      dcfg.seed ^= m.seed ^ salt;
-                      const babelstream::RunResult result =
-                          babelstream::run(backend, dcfg);
-                      const auto& best = result.best();
-                      row.deviceGBps = best.bandwidthGBps;
-                      bestOp = std::string(babelstream::streamOpName(best.op));
-                    },
-                    saveSummary(row.deviceGBps), loadSummary(row.deviceGBps),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
-                          slots[t], "bandwidth", "GB/s", stats::Better::Higher,
-                          row.deviceGBps, cap.take(bestOp)));
-                    });
-            break;
-          }
-          case kHostLatency:
-            runCell(opt, m, kCellHostToHost, slots[t],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [hostA, hostB] = osu::onSocketPair(m);
-                      row.hostToHostUs =
-                          osu::LatencyBenchmark(m, hostA, hostB,
-                                                mpisim::BufferSpace::Kind::Host)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveSummary(row.hostToHostUs),
-                    loadSummary(row.hostToHostUs),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.hostToHostUs,
-                          cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          case kDeviceLatency: {
-            auto& d2dSlot =
-                row.deviceToDeviceUs[static_cast<int>(task.linkClass)];
-            runCell(opt, m, d2dMpiCellName(task.linkClass), slots[t],
-                    [&](std::uint64_t salt) {
-                      osu::LatencyConfig cfg = lcfg;
-                      cfg.seed ^= salt;
-                      const auto [devA, devB] =
-                          osu::devicePair(m, task.linkClass);
-                      d2dSlot =
-                          osu::LatencyBenchmark(
-                              m, devA, devB,
-                              mpisim::BufferSpace::Kind::Device)
-                              .measure(cfg)
-                              .latencyUs;
-                    },
-                    saveOptSummary(d2dSlot), loadOptSummary(d2dSlot),
-                    [&](SampleCapture& cap) {
-                      opt.store->append(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          *d2dSlot, cap.take(osu::kLatencySampleChannel)));
-                    });
-            break;
-          }
-          default:
-            break;
-        }
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
-  return rows;
+  return computeGpuTable(opt, "table 5", kTable5Kinds, incidents);
 }
 
 Table renderTable5(const std::vector<Gpu5Row>& rows,
@@ -523,8 +508,9 @@ Table renderTable5(const std::vector<Gpu5Row>& rows,
     // A class absent from the machine stays blank; a class whose
     // measurement failed renders "n/a".
     const auto d2d = [&](int c) {
-      return naOr(cellFailed(incidents, name,
-                             d2dMpiCellName(static_cast<LinkClass>(c))),
+      const std::string cell =
+          classCellName(kCellD2dMpi, static_cast<LinkClass>(c));
+      return naOr(cellFailed(incidents, name, cell),
                   cellOrEmpty(row.deviceToDeviceUs[c]));
     };
     t.addRow({rankName(*row.machine),
@@ -540,190 +526,7 @@ Table renderTable5(const std::vector<Gpu5Row>& rows,
 
 std::vector<Gpu6Row> computeTable6(const TableOptions& opt,
                                    std::vector<CellIncident>* incidents) {
-  const auto ms = filteredMachines(machines::gpuMachines(), opt);
-  const MeasuredMachines measured(ms, opt.faults);
-  std::vector<Gpu6Row> rows(ms.size());
-
-  // Each Comm|Scope quantity is measured by its own scope instance: the
-  // truth methods reset the simulated runtime before measuring and the
-  // aggregate noise streams are seeded from the cell identity alone, so a
-  // per-cell instance reports exactly what the shared-instance
-  // measureAll() sequence reported.
-  enum {
-    kLaunch = 0,
-    kWait = 1,
-    kHostDeviceLatency = 2,
-    kHostDeviceBandwidth = 3,
-    kD2dLatency = 4
-  };
-  std::vector<GpuCellTask> tasks;
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    rows[i].machine = ms[i];
-    tasks.push_back({i, kLaunch, LinkClass::None});
-    tasks.push_back({i, kWait, LinkClass::None});
-    tasks.push_back({i, kHostDeviceLatency, LinkClass::None});
-    tasks.push_back({i, kHostDeviceBandwidth, LinkClass::None});
-    for (const LinkClass c : ms[i]->topology.presentGpuLinkClasses()) {
-      tasks.push_back({i, kD2dLatency, c});
-    }
-  }
-
-  if (opt.shard != nullptr) {
-    std::vector<campaign::GridCell> grid;
-    grid.reserve(tasks.size());
-    for (const GpuCellTask& task : tasks) {
-      const std::string& machine = ms[task.machineIdx]->info.name;
-      switch (task.kind) {
-        case kLaunch:
-          grid.push_back({machine, kCellLaunch});
-          break;
-        case kWait:
-          grid.push_back({machine, kCellWait});
-          break;
-        case kHostDeviceLatency:
-          grid.push_back({machine, kCellHdLatency});
-          break;
-        case kHostDeviceBandwidth:
-          grid.push_back({machine, kCellHdBandwidth});
-          break;
-        default:
-          grid.push_back({machine, d2dCopyCellName(task.linkClass)});
-          break;
-      }
-    }
-    opt.shard->registerTable("table 6", std::move(grid), opt.journal);
-  }
-
-  std::vector<CellIncident> slots(tasks.size());
-  par::parallelForEach(
-      tasks.size(),
-      [&](std::size_t t) {
-        const GpuCellTask& task = tasks[t];
-        const Machine& m = measured.at(ms, task.machineIdx);
-        Gpu6Row& row = rows[task.machineIdx];
-        const auto cellName = [&] {
-          switch (task.kind) {
-            case kLaunch: return std::string(kCellLaunch);
-            case kWait: return std::string(kCellWait);
-            case kHostDeviceLatency: return std::string(kCellHdLatency);
-            case kHostDeviceBandwidth: return std::string(kCellHdBandwidth);
-            default: return d2dCopyCellName(task.linkClass);
-          }
-        };
-        runCell(opt, m, cellName(), slots[t],
-                [&](std::uint64_t salt) {
-                  commscope::CommScope scope(m);
-                  commscope::Config cfg;
-                  cfg.binaryRuns = opt.binaryRuns;
-                  cfg.seed ^= salt;
-                  switch (task.kind) {
-                    case kLaunch:
-                      row.launchUs = scope.kernelLaunchUs(cfg);
-                      break;
-                    case kWait:
-                      row.waitUs = scope.syncWaitUs(cfg);
-                      break;
-                    case kHostDeviceLatency:
-                      row.hostDeviceLatencyUs = scope.hostDeviceLatencyUs(cfg);
-                      break;
-                    case kHostDeviceBandwidth:
-                      row.hostDeviceBandwidthGBps =
-                          scope.hostDeviceBandwidthGBps(cfg);
-                      break;
-                    case kD2dLatency:
-                      row.d2dLatencyUs[static_cast<int>(task.linkClass)] =
-                          scope.d2dLatencyUs(task.linkClass, cfg);
-                      break;
-                    default:
-                      break;
-                  }
-                },
-                [&](campaign::PayloadWriter& w) {
-                  switch (task.kind) {
-                    case kLaunch:
-                      campaign::putSummary(w, row.launchUs);
-                      break;
-                    case kWait:
-                      campaign::putSummary(w, row.waitUs);
-                      break;
-                    case kHostDeviceLatency:
-                      campaign::putSummary(w, row.hostDeviceLatencyUs);
-                      break;
-                    case kHostDeviceBandwidth:
-                      campaign::putSummary(w, row.hostDeviceBandwidthGBps);
-                      break;
-                    case kD2dLatency:
-                      campaign::putSummary(
-                          w,
-                          *row.d2dLatencyUs[static_cast<int>(task.linkClass)]);
-                      break;
-                    default:
-                      break;
-                  }
-                },
-                [&](campaign::PayloadReader& r) {
-                  switch (task.kind) {
-                    case kLaunch:
-                      row.launchUs = campaign::readSummary(r);
-                      break;
-                    case kWait:
-                      row.waitUs = campaign::readSummary(r);
-                      break;
-                    case kHostDeviceLatency:
-                      row.hostDeviceLatencyUs = campaign::readSummary(r);
-                      break;
-                    case kHostDeviceBandwidth:
-                      row.hostDeviceBandwidthGBps = campaign::readSummary(r);
-                      break;
-                    case kD2dLatency:
-                      row.d2dLatencyUs[static_cast<int>(task.linkClass)] =
-                          campaign::readSummary(r);
-                      break;
-                    default:
-                      break;
-                  }
-                },
-                [&](SampleCapture& cap) {
-                  switch (task.kind) {
-                    case kLaunch:
-                      opt.store->append(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.launchUs,
-                          cap.take(commscope::kLaunchSampleChannel)));
-                      break;
-                    case kWait:
-                      opt.store->append(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.waitUs,
-                          cap.take(commscope::kWaitSampleChannel)));
-                      break;
-                    case kHostDeviceLatency:
-                      opt.store->append(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          row.hostDeviceLatencyUs,
-                          cap.take(commscope::kHdLatencySampleChannel)));
-                      break;
-                    case kHostDeviceBandwidth:
-                      opt.store->append(sampleRecord(
-                          slots[t], "bandwidth", "GB/s", stats::Better::Higher,
-                          row.hostDeviceBandwidthGBps,
-                          cap.take(commscope::kHdBandwidthSampleChannel)));
-                      break;
-                    case kD2dLatency:
-                      opt.store->append(sampleRecord(
-                          slots[t], "latency", "us", stats::Better::Lower,
-                          *row.d2dLatencyUs[static_cast<int>(task.linkClass)],
-                          cap.take(commscope::kD2dLatencySampleChannel)));
-                      break;
-                    default:
-                      break;
-                  }
-                });
-      },
-      opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
-  return rows;
+  return computeGpuTable(opt, "table 6", kTable6Kinds, incidents);
 }
 
 Table renderTable6(const std::vector<Gpu6Row>& rows,
@@ -737,8 +540,9 @@ Table renderTable6(const std::vector<Gpu6Row>& rows,
   for (const Gpu6Row& row : rows) {
     const std::string& name = row.machine->info.name;
     const auto d2d = [&](int c) {
-      return naOr(cellFailed(incidents, name,
-                             d2dCopyCellName(static_cast<LinkClass>(c))),
+      const std::string cell =
+          classCellName(kCellD2dCopy, static_cast<LinkClass>(c));
+      return naOr(cellFailed(incidents, name, cell),
                   cellOrEmpty(row.d2dLatencyUs[c]));
     };
     t.addRow({rankName(*row.machine),
@@ -807,8 +611,8 @@ Table buildTable7(const std::vector<Gpu5Row>& t5,
       const auto ok = [&](const char* cell) {
         return !cellFailed(incidents, m->info.name, cell);
       };
-      const std::string mpiClassA = d2dMpiCellName(LinkClass::A);
-      const std::string copyClassA = d2dCopyCellName(LinkClass::A);
+      const std::string mpiClassA = classCellName(kCellD2dMpi, LinkClass::A);
+      const std::string copyClassA = classCellName(kCellD2dCopy, LinkClass::A);
       for (const Gpu5Row& row : t5) {
         if (row.machine != m) {
           continue;

@@ -13,6 +13,7 @@
 
 #include "campaign/journal.hpp"
 #include "campaign/shard.hpp"
+#include "faults/fault_plan.hpp"
 #include "machines/registry.hpp"
 #include "report/memlab_report.hpp"
 #include "report/tables.hpp"
@@ -102,6 +103,74 @@ TEST(MemlabReport, CellNamesAreStableIdentifiers) {
   // changing them orphans every recorded campaign.
   EXPECT_EQ(sweepCellName(ByteCount::kib(48)), "ws 49152");
   EXPECT_EQ(chaseCellName(ByteCount::kib(4)), "chase 4096");
+}
+
+/// The rendered comparison-table body lines: "| <working set> | ..." in
+/// grid order, without the header row.
+std::vector<std::string> bodyLines(const std::string& ascii) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start < ascii.size()) {
+    const std::size_t end = ascii.find('\n', start);
+    const std::string line = ascii.substr(start, end - start);
+    if (line.rfind("| ", 0) == 0 &&
+        line.find("Working set") == std::string::npos) {
+      out.push_back(line);
+    }
+    if (end == std::string::npos) {
+      break;
+    }
+    start = end + 1;
+  }
+  return out;
+}
+
+TEST(MemlabReport, FailedFirstMachineKeepsTheWorkingSetAxis) {
+  // Frontier is the first machine in registry order. Every cell of it
+  // fails; the rows must still carry the grid's working sets, so the
+  // table keeps its labels and the chart plots Eagle alone.
+  const faults::FaultPlan plan = faults::FaultPlan::fromJson(
+      R"({"seed":1,"faults":[)"
+      R"({"type":"flaky-cell","machine":"Frontier","rate":0.99}]})");
+  TableOptions opt = smallOptions(2);
+  opt.faults = &plan;
+
+  std::vector<CellIncident> sweepIncidents;
+  const auto sweep = computeSweep(opt, &sweepIncidents);
+  const auto arrays = memlab::sweepGrid({});
+  EXPECT_EQ(sweepIncidents.size(), arrays.size());
+  ASSERT_EQ(sweep[0].machine->info.name, "Frontier");
+  const auto sweepLines =
+      bodyLines(renderSweep(sweep, &sweepIncidents).renderAscii());
+  ASSERT_EQ(sweepLines.size(), arrays.size());
+  for (std::size_t j = 0; j < arrays.size(); ++j) {
+    EXPECT_EQ(sweep[0].points[j].workingSet, arrays[j] * 3ull);
+    EXPECT_NE(sweepLines[j].find(" n/a |"), std::string::npos)
+        << sweepLines[j];
+  }
+  EXPECT_EQ(sweepLines.front().rfind("| 48 KiB ", 0), 0u) << sweepLines.front();
+  EXPECT_EQ(sweepLines.back().rfind("| 768 MiB ", 0), 0u) << sweepLines.back();
+  const std::string sweepChart = renderSweepChart(sweep);
+  EXPECT_NE(sweepChart.find("Eagle"), std::string::npos);
+  EXPECT_EQ(sweepChart.find("Frontier"), std::string::npos);
+
+  std::vector<CellIncident> chaseIncidents;
+  const auto chase = computeChase(opt, &chaseIncidents);
+  const auto sizes = memlab::chaseGrid({});
+  EXPECT_EQ(chaseIncidents.size(), sizes.size());
+  for (const Table& table : {renderChaseNs(chase, &chaseIncidents),
+                             renderChaseClk(chase, &chaseIncidents)}) {
+    const auto lines = bodyLines(table.renderAscii());
+    ASSERT_EQ(lines.size(), sizes.size());
+    for (std::size_t j = 0; j < sizes.size(); ++j) {
+      EXPECT_EQ(chase[0].points[j].workingSet, sizes[j]);
+      EXPECT_NE(lines[j].find(" n/a |"), std::string::npos) << lines[j];
+    }
+    EXPECT_EQ(lines.front().rfind("| 4 KiB ", 0), 0u) << lines.front();
+  }
+  const std::string chaseChart = renderChaseChart(chase);
+  EXPECT_NE(chaseChart.find("Eagle"), std::string::npos);
+  EXPECT_EQ(chaseChart.find("Frontier"), std::string::npos);
 }
 
 /// One in-process shard worker over both memlab families.

@@ -44,7 +44,7 @@ const MergeEmissionFixture& fixture() {
     static const std::vector<std::string> machines = {"Trinity", "Manzano"};
     CampaignKnobs knobs;
     knobs.machines = &machines;
-    knobs.withTable5 = false;
+    knobs.withGpuTables = false;
     knobs.binaryRuns = 2;
 
     MergeEmissionFixture out;

@@ -45,7 +45,7 @@ const NegativeFixtureData& fixture() {
     static const std::vector<std::string> machines = {"Trinity", "Manzano"};
     CampaignKnobs knobs;
     knobs.machines = &machines;
-    knobs.withTable5 = false;
+    knobs.withGpuTables = false;
     knobs.binaryRuns = 2;
 
     NegativeFixtureData out;

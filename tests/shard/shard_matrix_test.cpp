@@ -32,7 +32,7 @@ using shardtest::ScratchDir;
 
 TEST(ShardMatrix, MergedBytesMatchSingleProcessAcrossCountsJobsAndFaults) {
   ScratchDir dir("nb_shard_matrix");
-  // Two CPU + two GPU machines: Tables 4 and 5 both participate, the
+  // Two CPU + two GPU machines: Tables 4, 5 and 6 all participate, the
   // grids stay small enough that the full matrix runs in seconds.
   const std::vector<std::string> machines = {"Trinity", "Manzano", "Frontier",
                                              "Perlmutter"};
@@ -98,7 +98,7 @@ TEST(ShardMatrix, MergedConfigIsNormalizedToTheReferenceRun) {
   const std::vector<std::string> machines = {"Trinity", "Manzano"};
   CampaignKnobs knobs;
   knobs.machines = &machines;
-  knobs.withTable5 = false;
+  knobs.withGpuTables = false;
   knobs.jobs = 4;
   for (std::uint32_t i = 0; i < 2; ++i) {
     runShardWorker(dir.path("c.journal"), dir.path("c.store"), {i, 2}, knobs);

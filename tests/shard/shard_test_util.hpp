@@ -56,7 +56,7 @@ struct CampaignKnobs {
   int binaryRuns = 3;
   const faults::FaultPlan* faults = nullptr;
   const std::vector<std::string>* machines = nullptr;
-  bool withTable5 = true;  ///< Table 4 alone when false (small sets).
+  bool withGpuTables = true;  ///< Table 4 alone when false (small sets).
 };
 
 inline report::TableOptions tableOptions(const CampaignKnobs& knobs) {
@@ -69,7 +69,7 @@ inline report::TableOptions tableOptions(const CampaignKnobs& knobs) {
 }
 
 /// One worker's in-process campaign: shard `spec`'s slice of Table 4
-/// (and 5), written to shardPath()-named journal + store files.
+/// (and 5 and 6), written to shardPath()-named journal + store files.
 inline void runShardWorker(const std::string& journalBase,
                            const std::string& storeBase,
                            const campaign::ShardSpec& spec,
@@ -85,8 +85,9 @@ inline void runShardWorker(const std::string& journalBase,
   opt.journal = journal.get();
   opt.store = store.get();
   (void)report::computeTable4(opt);
-  if (knobs.withTable5) {
+  if (knobs.withGpuTables) {
     (void)report::computeTable5(opt);
+    (void)report::computeTable6(opt);
   }
 }
 
@@ -109,8 +110,9 @@ inline Artifacts runReference(const std::string& journalPath,
     opt.journal = journal.get();
     opt.store = store.get();
     (void)report::computeTable4(opt);
-    if (knobs.withTable5) {
+    if (knobs.withGpuTables) {
       (void)report::computeTable5(opt);
+      (void)report::computeTable6(opt);
     }
   }
   return Artifacts{readFileBytes(journalPath), readFileBytes(storePath)};

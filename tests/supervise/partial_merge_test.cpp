@@ -40,7 +40,7 @@ const PartialFixtureData& fixture() {
     static const std::vector<std::string> machines = {"Trinity", "Manzano"};
     CampaignKnobs knobs;
     knobs.machines = &machines;
-    knobs.withTable5 = false;
+    knobs.withGpuTables = false;
     knobs.binaryRuns = 2;
 
     PartialFixtureData out;
