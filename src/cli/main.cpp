@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -339,7 +340,18 @@ class CampaignFlags {
       opt.cancel = &interruptToken();
     }
     if (storePath_) {
-      store_ = stats::ResultStore::attach(*storePath_, cfg, resume_);
+      try {
+        store_ = stats::ResultStore::attach(*storePath_, cfg, resume_);
+      } catch (const std::exception&) {
+        // The journal this call just created holds no cell yet: remove it
+        // with the refused store, or the corrected command would refuse
+        // with "journal file already exists".
+        if (journal_ && !resume_) {
+          journal_.reset();
+          std::filesystem::remove(*journalPath_);
+        }
+        throw;
+      }
       if (resume_ && store_->recordCount() > 0) {
         std::cerr << "nodebench: reattaching results store " << *storePath_
                   << " (" << store_->recordCount()
