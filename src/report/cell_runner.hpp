@@ -9,9 +9,11 @@
 /// deterministic noise salts — the contract that makes `--jobs`,
 /// `--faults`, `--trace`, `--journal --resume`, `--store`, `--shard`,
 /// serve and supervise compose for free for any family built on it.
-/// Extracted from tables.cpp when the memlab families (sweep, chase)
-/// became the second consumer; the semantics here are pinned by the
-/// campaign/shard/serve test suites and must not drift per family.
+/// `runGrid` runs a family's whole (machine x cell) grid through it from
+/// one task list, and `CellRun::summary` is the common one-Summary cell,
+/// so a compute function supplies only its tasks and a per-task measure.
+/// The semantics here are pinned by the campaign/shard/serve test suites
+/// and must not drift per family.
 
 #include <algorithm>
 #include <chrono>

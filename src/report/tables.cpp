@@ -1,6 +1,7 @@
 #include "report/tables.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -136,11 +137,10 @@ cellrun::Sampled commScope(const Machine& m, const TableOptions& opt,
   commscope::Config cfg;
   cfg.binaryRuns = opt.binaryRuns;
   cfg.seed ^= salt;
-  return {fn(scope, cfg), channel};
+  return {std::invoke(fn, scope, cfg), channel};
 }
 
 using commscope::CommScope;
-using CommScopeConfig = commscope::Config;
 
 const SummaryKind<Cpu4Row> kTable4Latencies[] = {
     {kCellOnSocket, false, kLatencyUs,
@@ -194,27 +194,21 @@ const SummaryKind<Gpu6Row> kTable6Kinds[] = {
      [](const Machine& m, const TableOptions& opt, LinkClass,
         std::uint64_t salt) {
        return commScope(m, opt, salt, commscope::kLaunchSampleChannel,
-                        [](CommScope& s, const CommScopeConfig& cfg) {
-                          return s.kernelLaunchUs(cfg);
-                        });
+                        &CommScope::kernelLaunchUs);
      },
      [](Gpu6Row& r, LinkClass, const Summary& v) { r.launchUs = v; }},
     {kCellWait, false, kLatencyUs,
      [](const Machine& m, const TableOptions& opt, LinkClass,
         std::uint64_t salt) {
        return commScope(m, opt, salt, commscope::kWaitSampleChannel,
-                        [](CommScope& s, const CommScopeConfig& cfg) {
-                          return s.syncWaitUs(cfg);
-                        });
+                        &CommScope::syncWaitUs);
      },
      [](Gpu6Row& r, LinkClass, const Summary& v) { r.waitUs = v; }},
     {kCellHdLatency, false, kLatencyUs,
      [](const Machine& m, const TableOptions& opt, LinkClass,
         std::uint64_t salt) {
        return commScope(m, opt, salt, commscope::kHdLatencySampleChannel,
-                        [](CommScope& s, const CommScopeConfig& cfg) {
-                          return s.hostDeviceLatencyUs(cfg);
-                        });
+                        &CommScope::hostDeviceLatencyUs);
      },
      [](Gpu6Row& r, LinkClass, const Summary& v) {
        r.hostDeviceLatencyUs = v;
@@ -223,9 +217,7 @@ const SummaryKind<Gpu6Row> kTable6Kinds[] = {
      [](const Machine& m, const TableOptions& opt, LinkClass,
         std::uint64_t salt) {
        return commScope(m, opt, salt, commscope::kHdBandwidthSampleChannel,
-                        [](CommScope& s, const CommScopeConfig& cfg) {
-                          return s.hostDeviceBandwidthGBps(cfg);
-                        });
+                        &CommScope::hostDeviceBandwidthGBps);
      },
      [](Gpu6Row& r, LinkClass, const Summary& v) {
        r.hostDeviceBandwidthGBps = v;
@@ -234,7 +226,7 @@ const SummaryKind<Gpu6Row> kTable6Kinds[] = {
      [](const Machine& m, const TableOptions& opt, LinkClass c,
         std::uint64_t salt) {
        return commScope(m, opt, salt, commscope::kD2dLatencySampleChannel,
-                        [c](CommScope& s, const CommScopeConfig& cfg) {
+                        [c](CommScope& s, const commscope::Config& cfg) {
                           return s.d2dLatencyUs(c, cfg);
                         });
      },
