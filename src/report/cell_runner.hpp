@@ -63,8 +63,8 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
              Load&& load, StoreSave&& storeSave) {
   // Cooperative cancellation is cell-grained: a set token skips cells that
   // have not started (this check), cells already past it finish and
-  // journal normally, and the compute function throws CancelledError
-  // after the fan-out. A skipped slot keeps attempts == 0, so it is
+  // journal normally, and runGrid throws CancelledError after the
+  // fan-out. A skipped slot keeps attempts == 0, so it is
   // neither an incident nor a journal record — a --resume run re-measures
   // exactly the skipped cells and lands byte-identical.
   if (opt.cancel != nullptr && opt.cancel->requested()) {
@@ -157,20 +157,6 @@ void runCell(const TableOptions& opt, const machines::Machine& m,
   }
 }
 
-/// Keeps only the interesting incident slots (retried or failed cells),
-/// in task order, appending them to `out` when requested.
-inline void collectIncidents(std::vector<CellIncident> slots,
-                             std::vector<CellIncident>* out) {
-  if (out == nullptr) {
-    return;
-  }
-  for (CellIncident& slot : slots) {
-    if (slot.attempts > 1 || slot.failed) {
-      out->push_back(std::move(slot));
-    }
-  }
-}
-
 /// Applies the optional TableOptions machine subset to a registry list,
 /// preserving registry order. Unknown names simply select nothing here;
 /// callers that must reject them (the serve request decoder) validate
@@ -189,40 +175,6 @@ inline std::vector<const machines::Machine*> filteredMachines(
   }
   return out;
 }
-
-/// Post-fan-out cancellation check shared by the compute functions: all
-/// in-flight cells have finished and journalled by the time the fan-out
-/// returns, so this is the safe point to abandon the partial table.
-inline void throwIfCancelled(const TableOptions& opt) {
-  if (opt.cancel != nullptr) {
-    opt.cancel->throwIfRequested();
-  }
-}
-
-/// The machines a table run measures: registry pointers verbatim without
-/// a fault plan (identity preserved for golden tests and Table 7), or
-/// per-machine perturbed copies under one.
-class MeasuredMachines {
- public:
-  MeasuredMachines(const std::vector<const machines::Machine*>& ms,
-                   const faults::FaultPlan* plan) {
-    if (plan == nullptr) {
-      return;
-    }
-    faulted_.reserve(ms.size());
-    for (const machines::Machine* m : ms) {
-      faulted_.push_back(plan->applyToMachine(*m));
-    }
-  }
-
-  [[nodiscard]] const machines::Machine& at(
-      const std::vector<const machines::Machine*>& ms, std::size_t i) const {
-    return faulted_.empty() ? *ms[i] : faulted_[i];
-  }
-
- private:
-  std::vector<machines::Machine> faulted_;
-};
 
 inline bool cellFailed(const std::vector<CellIncident>* incidents,
                        const std::string& machine, const std::string& cell) {
@@ -344,7 +296,16 @@ void runGrid(const TableOptions& opt, const char* label,
              const std::vector<const machines::Machine*>& ms,
              const std::vector<Task>& tasks,
              std::vector<CellIncident>* incidents, Measure&& measure) {
-  const MeasuredMachines measured(ms, opt.faults);
+  // The machines measured: registry pointers verbatim without a fault
+  // plan (identity preserved for golden tests and Table 7), per-machine
+  // perturbed copies under one.
+  std::vector<machines::Machine> faulted;
+  if (opt.faults != nullptr) {
+    faulted.reserve(ms.size());
+    for (const machines::Machine* m : ms) {
+      faulted.push_back(opt.faults->applyToMachine(*m));
+    }
+  }
   if (opt.shard != nullptr) {
     std::vector<campaign::GridCell> grid;
     grid.reserve(tasks.size());
@@ -357,13 +318,24 @@ void runGrid(const TableOptions& opt, const char* label,
   par::parallelForEach(
       tasks.size(),
       [&](std::size_t t) {
-        CellRun cell(opt, measured.at(ms, tasks[t].machine), tasks[t].cell,
-                     slots[t]);
+        const std::size_t i = tasks[t].machine;
+        CellRun cell(opt, faulted.empty() ? *ms[i] : faulted[i],
+                     tasks[t].cell, slots[t]);
         measure(tasks[t], cell);
       },
       opt.jobs);
-  throwIfCancelled(opt);
-  collectIncidents(std::move(slots), incidents);
+  // Every in-flight cell has finished and journalled by now, so this is
+  // the safe point to abandon the partial table.
+  if (opt.cancel != nullptr) {
+    opt.cancel->throwIfRequested();
+  }
+  if (incidents != nullptr) {
+    for (CellIncident& slot : slots) {
+      if (slot.attempts > 1 || slot.failed) {
+        incidents->push_back(std::move(slot));
+      }
+    }
+  }
 }
 
 }  // namespace nodebench::report::cellrun
